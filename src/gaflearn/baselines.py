@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputShapeError
-from .graph import GafStructure
-from .train import TrainConfig, TrainedClassifier, to_classifier, train
+from .graph import GafStructure, LayeredGaf
+from .train import TrainConfig, TrainResult, to_classifier, train
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,11 @@ def train_logistic(
     config: TrainConfig,
     input_names,
     class_labels,
-) -> TrainedClassifier:
+) -> tuple[LayeredGaf, TrainResult]:
     """Fully connected inputs-to-outputs graph with no hidden layer."""
     structure = GafStructure.fully_connected((x_train.shape[1], len(class_labels)))
     result = train(structure, x_train, y_train, x_val, y_val, config)
-    return to_classifier(result, input_names, class_labels)
+    return to_classifier(result, input_names, class_labels), result
 
 
 @dataclass

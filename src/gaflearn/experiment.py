@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import evaluate_metrics, train_logistic, train_tree
+from .baselines import Metrics, evaluate_metrics, train_logistic, train_tree
 from .data import (
     BinarizedDataset,
     RawDataset,
@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .ga import GaConfig, GenerationStats, evolve
-from .graph import connection_count, prune_inert_edges
+from .graph import prune_inert_edges
 from .model_io import to_json
 from .train import MaskedNet, TrainConfig, to_classifier
 from .util import derive_seed
@@ -332,12 +332,112 @@ def _write_resolved_config(config: ExperimentConfig, extra: dict) -> None:
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _binarized_for_run(
-    raw: RawDataset, config: ExperimentConfig, full: BinarizedDataset | None, split
-) -> BinarizedDataset:
-    if full is not None:
-        return full
-    return binarize(raw, config.bins_per_numeric, fit_indices=split.train)
+@dataclass(frozen=True)
+class _Run:
+    """One seeded run, as the run loop hands it to a fit function.
+
+    ``train``, ``validation`` and ``test`` are (features, labels) pairs.
+    """
+
+    index: int
+    seed: int
+    binarized: BinarizedDataset | None  # None when a tree runs on raw columns
+    train: tuple[np.ndarray, np.ndarray]
+    validation: tuple[np.ndarray, np.ndarray]
+    test: tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Fitted:
+    """What a fit function reports back for one run."""
+
+    predictions: np.ndarray  # one class index per test row
+    n_connections: int
+    progress: str  # the model-size part of the run's echo line
+    generations_run: int = 0
+    # writes the run's artifacts into run_NN/, given its test metrics
+    save: Callable[[Path, Metrics], None] | None = None
+
+
+def _run_experiment(
+    config: ExperimentConfig,
+    fit: Callable[[_Run], _Fitted],
+    echo: Callable[[str], None] | None,
+    resolved: dict,
+    raw_features: bool = False,
+    announce: bool = False,
+) -> list[RunRecord]:
+    """Load the dataset, fit and score every seeded run, write the summary files.
+
+    ``raw_features`` gives the fit the raw feature columns instead of the
+    binarized indicators; ``announce`` echoes the dataset's shape first.
+    ``resolved`` is merged into resolved_config.json.
+    """
+    say = echo if echo is not None else lambda _msg: None
+    schema = load_schema(config.schema_path)
+    raw = load_csv(config.dataset_path, schema)
+    labels_all = _label_indices(raw)
+    n_classes = len(raw.label_values)
+    raw_matrix = raw_feature_matrix(raw)[1] if raw_features else None
+    full = None
+    if not raw_features and config.bin_fit == "all":
+        full = binarize(raw, config.bins_per_numeric)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    if announce:
+        say(
+            f"{raw.n_instances} instances, {len(raw.feature_names)} features, "
+            f"{n_classes} classes ({config.runs} runs)"
+        )
+
+    records: list[RunRecord] = []
+    for r in range(config.runs):
+        t0 = time.perf_counter()
+        run_seed = run_seed_for(config.seed, r)
+        split = split_stratified(raw.n_instances, labels_all, seed=run_seed)
+        binz = None
+        if raw_matrix is not None:
+            x, y = raw_matrix, labels_all
+        else:
+            binz = full
+            if binz is None:
+                binz = binarize(raw, config.bins_per_numeric, fit_indices=split.train)
+            x, y = binz.matrix, binz.labels
+        run = _Run(
+            index=r,
+            seed=run_seed,
+            binarized=binz,
+            train=_take(x, y, split.train),
+            validation=_take(x, y, split.validation),
+            test=_take(x, y, split.test),
+        )
+        fitted = fit(run)
+        metrics = evaluate_metrics(fitted.predictions, run.test[1], n_classes=n_classes)
+        wall = time.perf_counter() - t0
+        records.append(
+            RunRecord(
+                run=r,
+                seed=run_seed,
+                test_accuracy=metrics.accuracy,
+                test_precision_macro=metrics.macro_precision,
+                test_recall_macro=metrics.macro_recall,
+                n_connections=fitted.n_connections,
+                generations_run=fitted.generations_run,
+                wall_seconds=wall,
+            )
+        )
+        if fitted.save is not None:
+            run_dir = config.out_dir / f"run_{r:02d}"
+            run_dir.mkdir(parents=True, exist_ok=True)
+            fitted.save(run_dir, metrics)
+        say(
+            f"run {r + 1}/{config.runs}: accuracy={metrics.accuracy:.4f} "
+            f"{fitted.progress} ({wall:.1f}s)"
+        )
+
+    write_summary_csv(config.out_dir / "summary.csv", records)
+    write_timings_csv(config.out_dir / "timings.csv", records)
+    _write_resolved_config(config, resolved)
+    return records
 
 
 def run_training_experiment(
@@ -349,97 +449,60 @@ def run_training_experiment(
     summary.csv (per-run metrics plus mean/std rows), timings.csv, and
     resolved_config.json. Returns the per-run records in run order.
     """
-    say = echo if echo is not None else lambda _msg: None
-    schema = load_schema(config.schema_path)
-    raw = load_csv(config.dataset_path, schema)
-    labels_all = _label_indices(raw)
-    n_classes = len(raw.label_values)
-    full = (
-        binarize(raw, config.bins_per_numeric) if config.bin_fit == "all" else None
-    )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    say(
-        f"{raw.n_instances} instances, {len(raw.feature_names)} features, "
-        f"{n_classes} classes ({config.runs} runs)"
-    )
 
-    records: list[RunRecord] = []
-    for r in range(config.runs):
-        t0 = time.perf_counter()
-        run_seed = run_seed_for(config.seed, r)
-        split = split_stratified(raw.n_instances, labels_all, seed=run_seed)
-        binz = _binarized_for_run(raw, config, full, split)
-        x, y = binz.matrix, binz.labels
-        x_train, y_train = _take(x, y, split.train)
-        x_val, y_val = _take(x, y, split.validation)
-        x_test, y_test = _take(x, y, split.test)
-        layer_sizes = (x.shape[1], *config.hidden_layers, n_classes)
-
+    def fit(run: _Run) -> _Fitted:
+        binz = run.binarized
+        layer_sizes = (run.train[0].shape[1], *config.hidden_layers, len(binz.label_names))
         best, log = evolve(
-            x_train,
-            y_train,
-            x_val,
-            y_val,
+            *run.train,
+            *run.validation,
             layer_sizes,
-            config.ga_config(run_seed),
-            config.train_config(run_seed),
+            config.ga_config(run.seed),
+            config.train_config(run.seed),
         )
-        clf = to_classifier(best.result, binz.input_argument_names, binz.label_names)
         # edges with no path to an output cannot move any prediction;
         # export the equivalent graph without them
-        gaf = prune_inert_edges(clf.gaf)
+        gaf = prune_inert_edges(
+            to_classifier(best.result, binz.input_argument_names, binz.label_names)
+        )
+        n_connections = gaf.connection_count()
+        generations_run = log[-1].generation
+
+        def save(run_dir: Path, metrics: Metrics) -> None:
+            metadata = {
+                "run": run.index,
+                "seed": run.seed,
+                "master_seed": config.seed,
+                "dataset": str(config.dataset_path),
+                "split_sizes": {
+                    "train": len(run.train[1]),
+                    "validation": len(run.validation[1]),
+                    "test": len(run.test[1]),
+                },
+                "fitness": best.fitness,
+                "train_accuracy": best.train_accuracy,
+                "test_accuracy": metrics.accuracy,
+                "test_precision_macro": metrics.macro_precision,
+                "test_recall_macro": metrics.macro_recall,
+                "n_connections": n_connections,
+                "searched_connections": best.n_connections,
+                "n_possible": best.n_possible,
+                "generations_run": generations_run,
+                "epochs_run": best.result.epochs_run,
+            }
+            (run_dir / "model.json").write_text(to_json(gaf, metadata), encoding="utf-8")
+            write_generations_csv(run_dir / "generations.csv", log)
+
         # score the exported artifact itself, not the raw training state
-        net = MaskedNet.from_gaf(gaf)
-        metrics = evaluate_metrics(net.predict(x_test), y_test, n_classes=n_classes)
-        wall = time.perf_counter() - t0
-
-        record = RunRecord(
-            run=r,
-            seed=run_seed,
-            test_accuracy=metrics.accuracy,
-            test_precision_macro=metrics.macro_precision,
-            test_recall_macro=metrics.macro_recall,
-            n_connections=connection_count(gaf),
-            generations_run=log[-1].generation,
-            wall_seconds=wall,
-        )
-        records.append(record)
-
-        run_dir = config.out_dir / f"run_{r:02d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        metadata = {
-            "run": r,
-            "seed": run_seed,
-            "master_seed": config.seed,
-            "dataset": str(config.dataset_path),
-            "split_sizes": {
-                "train": len(split.train),
-                "validation": len(split.validation),
-                "test": len(split.test),
-            },
-            "fitness": best.fitness,
-            "train_accuracy": best.train_accuracy,
-            "test_accuracy": metrics.accuracy,
-            "test_precision_macro": metrics.macro_precision,
-            "test_recall_macro": metrics.macro_recall,
-            "n_connections": record.n_connections,
-            "searched_connections": best.n_connections,
-            "n_possible": best.n_possible,
-            "generations_run": record.generations_run,
-            "epochs_run": best.result.epochs_run,
-        }
-        (run_dir / "model.json").write_text(to_json(gaf, metadata), encoding="utf-8")
-        write_generations_csv(run_dir / "generations.csv", log)
-        say(
-            f"run {r + 1}/{config.runs}: accuracy={metrics.accuracy:.4f} "
-            f"connections={record.n_connections} generations={record.generations_run} "
-            f"({wall:.1f}s)"
+        return _Fitted(
+            predictions=MaskedNet.from_gaf(gaf).predict(run.test[0]),
+            n_connections=n_connections,
+            progress=f"connections={n_connections} generations={generations_run}",
+            generations_run=generations_run,
+            save=save,
         )
 
-    write_summary_csv(config.out_dir / "summary.csv", records)
-    write_timings_csv(config.out_dir / "timings.csv", records)
-    _write_resolved_config(config, {"command": "train"})
-    return records
+    return _run_experiment(config, fit, echo, {"command": "train"}, announce=True)
 
 
 def run_baseline_experiment(
@@ -458,101 +521,49 @@ def run_baseline_experiment(
         raise ConfigError(f"baseline kind must be 'logistic' or 'tree', got {kind!r}")
     if max_depth is not None and max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
-    say = echo if echo is not None else lambda _msg: None
-    schema = load_schema(config.schema_path)
-    raw = load_csv(config.dataset_path, schema)
-    labels_all = _label_indices(raw)
-    n_classes = len(raw.label_values)
 
-    use_raw_tree = kind == "tree" and config.tree_features == "raw"
-    raw_names: tuple[str, ...] = ()
-    raw_matrix = np.zeros((0, 0))
-    if use_raw_tree:
-        raw_names, raw_matrix = raw_feature_matrix(raw)
-    full = (
-        binarize(raw, config.bins_per_numeric)
-        if not use_raw_tree and config.bin_fit == "all"
-        else None
-    )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-
-    records: list[RunRecord] = []
-    for r in range(config.runs):
-        t0 = time.perf_counter()
-        run_seed = run_seed_for(config.seed, r)
-        split = split_stratified(raw.n_instances, labels_all, seed=run_seed)
-
-        if use_raw_tree:
-            x, y = raw_matrix, labels_all
-        else:
-            binz = _binarized_for_run(raw, config, full, split)
-            x, y = binz.matrix, binz.labels
-        x_train, y_train = _take(x, y, split.train)
-        x_test, y_test = _take(x, y, split.test)
-
-        if kind == "logistic":
-            x_val, y_val = _take(x, y, split.validation)
-            clf = train_logistic(
-                x_train,
-                y_train,
-                x_val,
-                y_val,
-                config.train_config(run_seed),
-                binz.input_argument_names,
-                binz.label_names,
-            )
-            net = MaskedNet.from_gaf(clf.gaf)
-            predictions = net.predict(x_test)
-            n_connections = connection_count(clf.gaf)
-            run_dir = config.out_dir / f"run_{r:02d}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            metadata = {
-                "run": r,
-                "seed": run_seed,
-                "master_seed": config.seed,
-                "baseline": "logistic",
-                "epochs_run": clf.epochs_run,
-            }
-            (run_dir / "model.json").write_text(
-                to_json(clf.gaf, metadata), encoding="utf-8"
-            )
-        else:
-            # validation rows are unused: the tree has no tuned optimizer
-            tree = train_tree(x_train, y_train, max_depth=max_depth)
-            predictions = tree.predict(x_test)
-            n_connections = _internal_nodes(tree)
-
-        metrics = evaluate_metrics(predictions, y_test, n_classes=n_classes)
-        wall = time.perf_counter() - t0
-        records.append(
-            RunRecord(
-                run=r,
-                seed=run_seed,
-                test_accuracy=metrics.accuracy,
-                test_precision_macro=metrics.macro_precision,
-                test_recall_macro=metrics.macro_recall,
-                n_connections=n_connections,
-                generations_run=0,
-                wall_seconds=wall,
-            )
+    def fit_logistic(run: _Run) -> _Fitted:
+        gaf, result = train_logistic(
+            *run.train,
+            *run.validation,
+            config.train_config(run.seed),
+            run.binarized.input_argument_names,
+            run.binarized.label_names,
         )
-        say(
-            f"run {r + 1}/{config.runs}: accuracy={metrics.accuracy:.4f} "
-            f"size={n_connections} ({wall:.1f}s)"
+        metadata = {
+            "run": run.index,
+            "seed": run.seed,
+            "master_seed": config.seed,
+            "baseline": "logistic",
+            "epochs_run": result.epochs_run,
+        }
+
+        def save(run_dir: Path, _metrics: Metrics) -> None:
+            (run_dir / "model.json").write_text(to_json(gaf, metadata), encoding="utf-8")
+
+        n_connections = gaf.connection_count()
+        return _Fitted(
+            predictions=MaskedNet.from_gaf(gaf).predict(run.test[0]),
+            n_connections=n_connections,
+            progress=f"size={n_connections}",
+            save=save,
         )
 
-    write_summary_csv(config.out_dir / "summary.csv", records)
-    write_timings_csv(config.out_dir / "timings.csv", records)
-    _write_resolved_config(
-        config, {"command": "baseline", "kind": kind, "max_depth": max_depth}
+    def fit_tree(run: _Run) -> _Fitted:
+        # validation rows are unused: the tree has no tuned optimizer
+        tree = train_tree(*run.train, max_depth=max_depth)
+        # every split node has two children, so internal nodes = leaves - 1
+        n_connections = tree.n_leaves() - 1
+        return _Fitted(
+            predictions=tree.predict(run.test[0]),
+            n_connections=n_connections,
+            progress=f"size={n_connections}",
+        )
+
+    return _run_experiment(
+        config,
+        fit_logistic if kind == "logistic" else fit_tree,
+        echo,
+        {"command": "baseline", "kind": kind, "max_depth": max_depth},
+        raw_features=kind == "tree" and config.tree_features == "raw",
     )
-    return records
-
-
-def _internal_nodes(tree) -> int:
-    def count(node) -> int:
-        if node.is_leaf:
-            return 0
-        return 1 + count(node.left) + count(node.right)
-
-    return count(tree.root)

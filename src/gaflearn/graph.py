@@ -129,7 +129,7 @@ class LayeredGaf:
         self._edges = tuple(edges)
         self._class_labels = tuple(class_labels)
         self._validate()
-        self._compiled: _Compiled | None = None
+        self._decomposed: tuple[GafStructure, list[np.ndarray], list[np.ndarray]] | None = None
 
     def _validate(self) -> None:
         if len(self._layers) < 2:
@@ -167,8 +167,10 @@ class LayeredGaf:
             if (e.source, e.target) in pairs:
                 raise InvalidGraphError(f"duplicate edge ({e.source},{e.target})")
             pairs.add((e.source, e.target))
-            if math.isnan(e.weight):
-                raise InvalidGraphError(f"edge ({e.source},{e.target}) has NaN weight")
+            if not math.isfinite(e.weight):
+                raise InvalidGraphError(
+                    f"edge ({e.source},{e.target}) has non-finite weight {e.weight}"
+                )
         if self._class_labels:
             if len(self._class_labels) != len(self._layers[-1]):
                 raise InvalidGraphError(
@@ -213,24 +215,27 @@ class LayeredGaf:
     def parameters(self) -> tuple[GafStructure, list[np.ndarray], list[np.ndarray]]:
         """Decompose into (structure, per-block weight matrices, per-layer biases).
 
-        Biases are the log-odds of the base scores of non-input layers
-        (+/-inf for base scores exactly 0 or 1).
+        Blocks are in sorted (source, target) layer order. Biases are the
+        log-odds of the base scores of non-input layers (+/-inf for base
+        scores exactly 0 or 1).
         """
-        c = self._compile()
-        structure = GafStructure(
-            self.layer_sizes,
-            tuple((src, dst, m.copy()) for (src, dst, _), m in zip(c.blocks, c.masks)),
+        structure, weights, biases = self._decomposition()
+        return (
+            GafStructure(
+                structure.layer_sizes,
+                tuple((src, dst, m.copy()) for src, dst, m in structure.blocks),
+            ),
+            [w.copy() for w in weights],
+            [b.copy() for b in biases],
         )
-        return structure, [w.copy() for _, _, w in c.blocks], [b.copy() for b in c.biases]
 
     def connection_count(self) -> int:
         return len(self._edges)
 
-    # -- evaluation ----------------------------------------------------
-
-    def _compile(self) -> "_Compiled":
-        if self._compiled is not None:
-            return self._compiled
+    def _decomposition(self) -> tuple[GafStructure, list[np.ndarray], list[np.ndarray]]:
+        """The cached, shared form of :meth:`parameters`; callers must not mutate it."""
+        if self._decomposed is not None:
+            return self._decomposed
         index = {
             arg.id: (li, ai)
             for li, layer in enumerate(self._layers)
@@ -246,42 +251,66 @@ class LayeredGaf:
             mask = present.setdefault((sl, tl), np.zeros((sizes[sl], sizes[tl]), dtype=bool))
             block[si, ti] = e.weight
             mask[si, ti] = True
-        blocks = tuple((src, dst, weights[(src, dst)]) for src, dst in sorted(weights))
-        masks = tuple(present[(src, dst)] for src, dst, _ in blocks)
+        pairs = sorted(weights)
+        structure = GafStructure(sizes, tuple((src, dst, present[(src, dst)]) for src, dst in pairs))
         with np.errstate(divide="ignore"):
             biases = [
                 logit(np.array([a.base_score for a in layer], dtype=np.float64))
                 for layer in self._layers[1:]
             ]
-        self._compiled = _Compiled(blocks=blocks, masks=masks, biases=biases)
-        return self._compiled
+        self._decomposed = (structure, [weights[pair] for pair in pairs], biases)
+        return self._decomposed
 
 
-@dataclass
-class _Compiled:
-    blocks: tuple[tuple[int, int, np.ndarray], ...]
-    masks: tuple[np.ndarray, ...]
-    biases: list[np.ndarray]  # one per layer 1..L, log-odds of base scores
+# -- evaluation --------------------------------------------------------
 
 
-def _forward_strengths(gaf: LayeredGaf, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Shared forward sweep; returns per-layer strengths and output pre-activations."""
-    c = gaf._compile()
-    n_layers = len(gaf.layer_sizes)
-    strengths: list[np.ndarray] = [x]
-    z_out = None
+def layer_preactivation(
+    strengths: Sequence[np.ndarray],
+    blocks: Sequence[tuple[int, int, np.ndarray]],
+    weights: Sequence[np.ndarray],
+    bias: np.ndarray,
+    t: int,
+) -> np.ndarray:
+    """Layer ``t``'s pre-activations: ``bias + sum of strengths[src] @ w``.
+
+    ``strengths[src]`` is the (batch, size) strength matrix of layer src;
+    the sum runs over the blocks into ``t`` in their sorted order. Every
+    forward pass (evaluation, batched distributions, training and the
+    strength trajectory) aggregates through this one function.
+    """
+    z = np.empty((strengths[0].shape[0], bias.shape[0]))
+    z[:] = bias
+    for (src, dst, _), w in zip(blocks, weights):
+        if dst == t:
+            z += strengths[src] @ w
+    return z
+
+
+def forward_pass(
+    structure: GafStructure,
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    x: np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Strengths of every non-output layer and the output pre-activations.
+
+    ``x`` is a (batch, inputs) matrix. Hidden strengths are the logistic of
+    their pre-activations; the output layer is left as pre-activations,
+    which is what both the softmax and the training loss consume.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != structure.layer_sizes[0]:
+        raise InputShapeError(
+            f"expected (n, {structure.layer_sizes[0]}) inputs, got shape {x.shape}"
+        )
+    strengths = [x]
+    n_layers = len(structure.layer_sizes)
     for t in range(1, n_layers):
-        z = np.array(c.biases[t - 1], copy=True)
-        if x.ndim == 2:
-            z = np.broadcast_to(z, (x.shape[0], z.shape[-1])).copy()
-        for src, dst, w in c.blocks:
-            if dst == t:
-                z += strengths[src] @ w
-        strengths.append(expit(z))
-        if t == n_layers - 1:
-            z_out = z
-    assert z_out is not None
-    return strengths, z_out
+        z = layer_preactivation(strengths, structure.blocks, weights, biases[t - 1], t)
+        if t < n_layers - 1:
+            strengths.append(expit(z))
+    return strengths, z
 
 
 def _check_input(gaf: LayeredGaf, input_strengths: Sequence[float]) -> np.ndarray:
@@ -291,7 +320,8 @@ def _check_input(gaf: LayeredGaf, input_strengths: Sequence[float]) -> np.ndarra
         raise InputShapeError(
             f"expected {n_in} input strengths, got shape {x.shape}"
         )
-    if not np.isfinite(x).all() or (x < 0).any() or (x > 1).any():
+    # NaN fails both comparisons, so this also rejects non-finite values
+    if not ((x >= 0).all() and (x <= 1).all()):
         raise InputShapeError("input strengths must be finite values in [0,1]")
     return x
 
@@ -304,26 +334,23 @@ def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretatio
     sum of its incoming strengths. Base scores exactly 0 or 1 pin the
     strength there no matter the attackers or supporters. The class
     distribution is the softmax over the output layer's pre-activations.
+    The instance is evaluated as a one-row batch of
+    :func:`output_distributions`, so the two agree exactly on it.
     Pure and deterministic: identical inputs give bit-identical outputs.
     """
     x = _check_input(gaf, input_strengths)
-    per_layer, z_out = _forward_strengths(gaf, x)
-    dist = softmax_rows(z_out)[0]
+    per_layer, z_out = forward_pass(*gaf._decomposition(), x[None, :])
+    per_layer.append(expit(z_out))
     strengths: dict[str, float] = {}
     for layer, values in zip(gaf.layers, per_layer):
-        for arg, v in zip(layer, values):
+        for arg, v in zip(layer, values[0]):
             strengths[arg.id] = float(v)
-    return Interpretation(strengths=strengths, output_distribution=dist)
+    return Interpretation(strengths=strengths, output_distribution=softmax_rows(z_out)[0])
 
 
 def output_distributions(gaf: LayeredGaf, matrix: np.ndarray) -> np.ndarray:
     """Batched class distributions, one row per instance."""
-    x = np.asarray(matrix, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != gaf.layer_sizes[0]:
-        raise InputShapeError(
-            f"expected (n, {gaf.layer_sizes[0]}) inputs, got shape {x.shape}"
-        )
-    _, z_out = _forward_strengths(gaf, x)
+    _, z_out = forward_pass(*gaf._decomposition(), matrix)
     return softmax_rows(z_out)
 
 
@@ -335,35 +362,24 @@ def strength_trajectory(
     Iteration 0 is the base-score vector with inputs at their given values;
     every later iteration updates all non-input arguments at once from the
     previous vector. For a graph of depth d the vectors are constant from
-    iteration d onward.
+    iteration d onward, and equal to :func:`evaluate`'s strengths.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     x = _check_input(gaf, input_strengths)
-    args = gaf.arguments()
-    n = len(args)
-    pos = {arg.id: i for i, arg in enumerate(args)}
-    adj = np.zeros((n, n))
-    for e in gaf.edges:
-        adj[pos[e.source], pos[e.target]] = e.weight
-    n_in = gaf.layer_sizes[0]
-    beta = np.array([a.base_score for a in args], dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_odds = logit(beta[n_in:])
-    s = beta.copy()
-    s[:n_in] = x
-    out = [s.copy()]
+    structure, weights, biases = gaf._decomposition()
+    layers = [x[None, :]] + [
+        np.array([[a.base_score for a in layer]], dtype=np.float64) for layer in gaf.layers[1:]
+    ]
+    out = [np.concatenate(layers, axis=1)[0]]
     for _ in range(iterations):
-        agg = s @ adj
-        s_next = s.copy()
-        s_next[n_in:] = expit(log_odds + agg[n_in:])
-        s = s_next
-        out.append(s.copy())
+        previous = layers
+        layers = [x[None, :]] + [
+            expit(layer_preactivation(previous, structure.blocks, weights, biases[t - 1], t))
+            for t in range(1, len(previous))
+        ]
+        out.append(np.concatenate(layers, axis=1)[0])
     return out
-
-
-def connection_count(gaf: LayeredGaf) -> int:
-    return gaf.connection_count()
 
 
 def prune_inert_edges(gaf: LayeredGaf) -> LayeredGaf:

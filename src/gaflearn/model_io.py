@@ -38,7 +38,7 @@ def to_json(gaf: LayeredGaf, metadata: dict | None = None, indent: int | None = 
         ],
         "metadata": metadata if metadata is not None else {},
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=indent, allow_nan=False)
 
 
 def _expect(doc: dict, key: str, kind, context: str):

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigError, InputShapeError
-from .graph import GafStructure, LayeredGaf, build_gaf
-from .util import expit, softmax_rows
+from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass
+from .util import softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -87,28 +87,8 @@ class MaskedNet:
         self.biases = [b.copy() for b in biases]
 
     def forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-layer strengths and output pre-activations for a batch.
-
-        Keeps the exact operation order of the graph evaluator so both
-        paths produce bit-identical numbers for the same parameters.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.structure.layer_sizes[0]:
-            raise InputShapeError(
-                f"expected (n, {self.structure.layer_sizes[0]}) inputs, got {x.shape}"
-            )
-        activations = [x]
-        n_layers = len(self.structure.layer_sizes)
-        z = None
-        for t in range(1, n_layers):
-            bias = self.biases[t - 1]
-            z = np.broadcast_to(bias, (x.shape[0], bias.shape[0])).copy()
-            for (src, dst, _), w in zip(self.structure.blocks, self.weights):
-                if dst == t:
-                    z += activations[src] @ w
-            activations.append(expit(z) if t < n_layers - 1 else z)
-        assert z is not None
-        return activations, z
+        """Strengths of the input and hidden layers, and output pre-activations, for a batch."""
+        return forward_pass(self.structure, self.weights, self.biases, x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         _, z = self.forward(x)
@@ -123,15 +103,20 @@ def accuracy(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(net.predict(x) == np.asarray(y)))
 
 
-def forward_loss(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and per-instance class distributions."""
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of output pre-activations, and their class distributions."""
     y = np.asarray(y, dtype=np.int64)
-    _, z = net.forward(x)
     if y.shape != (z.shape[0],) or (y < 0).any() or (y >= z.shape[1]).any():
         raise InputShapeError("labels must be class indices matching the batch")
     log_norm = logsumexp(z, axis=1)
     loss = float(np.mean(log_norm - z[np.arange(z.shape[0]), y]))
     return loss, softmax_rows(z)
+
+
+def forward_loss(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and per-instance class distributions."""
+    _, z = net.forward(x)
+    return _cross_entropy(z, y)
 
 
 def gradients(
@@ -142,14 +127,10 @@ def gradients(
     Returns (loss, per-block weight gradients, per-layer bias gradients).
     Gradient entries at masked-out positions are exactly zero.
     """
-    y = np.asarray(y, dtype=np.int64)
     activations, z = net.forward(x)
-    if y.shape != (z.shape[0],) or (y < 0).any() or (y >= z.shape[1]).any():
-        raise InputShapeError("labels must be class indices matching the batch")
+    loss, probs = _cross_entropy(z, y)
+    y = np.asarray(y, dtype=np.int64)
     batch = z.shape[0]
-    log_norm = logsumexp(z, axis=1)
-    loss = float(np.mean(log_norm - z[np.arange(batch), y]))
-    probs = softmax_rows(z)
 
     n_layers = len(net.structure.layer_sizes)
     d_strength: list[np.ndarray | None] = [None] * n_layers
@@ -222,14 +203,6 @@ class TrainResult:
     history: TrainingHistory
     epochs_run: int
     best_epoch: int
-    seed: int
-
-
-@dataclass
-class TrainedClassifier:
-    gaf: LayeredGaf
-    history: TrainingHistory
-    epochs_run: int
     seed: int
 
 
@@ -315,18 +288,12 @@ def to_classifier(
     result: TrainResult,
     input_names: list[str] | tuple[str, ...],
     class_labels: list[str] | tuple[str, ...],
-) -> TrainedClassifier:
+) -> LayeredGaf:
     """Name the trained parameters as an argumentation graph."""
-    gaf = build_gaf(
+    return build_gaf(
         result.net.structure,
         result.net.weights,
         result.net.biases,
         list(input_names),
         list(class_labels),
-    )
-    return TrainedClassifier(
-        gaf=gaf,
-        history=result.history,
-        epochs_run=result.epochs_run,
-        seed=result.seed,
     )

@@ -27,11 +27,11 @@ TOY_GA = {
 TOY_TRAIN = {"learning_rate": 0.5, "max_epochs": 30, "es_patience": 3}
 
 
-def write_toy_dataset(dirpath, n=40):
+def write_toy_dataset(dirpath, n=40, rule=lambda x1, x2: x1 == 1):
     rows = ["x1,x2,y"]
     for i in range(n):
         x1, x2 = i % 2, (i // 2) % 2
-        rows.append(f"{x1},{x2},{'pos' if x1 == 1 else 'neg'}")
+        rows.append(f"{x1},{x2},{'pos' if rule(x1, x2) else 'neg'}")
     (dirpath / "toy.csv").write_text("\n".join(rows) + "\n")
     schema = {
         "label": "y",
@@ -224,12 +224,15 @@ def test_tree_baseline_counts_internal_nodes(tmp_path):
 
 
 def test_tree_baseline_on_raw_features(tmp_path):
-    write_toy_dataset(tmp_path)
-    config = load_experiment_config(
-        write_toy_config(tmp_path, runs=1, tree_features="raw"), out=tmp_path / "t"
-    )
-    records = run_baseline_experiment(config, "tree", max_depth=2)
-    assert records[0].test_accuracy == 1.0
+    # y == x1 needs one split; y == x1 xor x2 needs a root and two child splits
+    for rule, splits in ((lambda x1, x2: x1 == 1, 1), (lambda x1, x2: x1 != x2, 3)):
+        write_toy_dataset(tmp_path, rule=rule)
+        config = load_experiment_config(
+            write_toy_config(tmp_path, runs=1, tree_features="raw"), out=tmp_path / "t"
+        )
+        records = run_baseline_experiment(config, "tree", max_depth=2)
+        assert records[0].test_accuracy == 1.0
+        assert records[0].n_connections == splits  # the tree's non-leaf nodes
 
 
 def test_baseline_rejects_unknown_kind(tmp_path):

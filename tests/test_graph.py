@@ -1,6 +1,7 @@
 """Semantics of layered graphs, checked against hand-rolled scalar math."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from gaflearn import (
     InputShapeError,
     InvalidGraphError,
     LayeredGaf,
+    MaskedNet,
     Polarity,
     WeightedEdge,
     build_gaf,
-    connection_count,
     edge_polarity,
     evaluate,
     output_distributions,
@@ -171,14 +172,45 @@ def test_random_graphs_match_scalar_reference():
         assert abs(interp.output_distribution.sum() - 1.0) < 1e-9
 
 
+def pin_base_scores(gaf, pins):
+    """The same graph with some base scores replaced, e.g. by exactly 0 or 1."""
+    layers = [
+        [replace(a, base_score=pins.get(a.id, a.base_score)) for a in layer]
+        for layer in gaf.layers
+    ]
+    return LayeredGaf(layers, gaf.edges, gaf.class_labels)
+
+
 def test_batch_distributions_match_single_evaluation():
     rng = np.random.default_rng(3)
-    gaf = random_gaf(rng, sizes=(5, 4, 3), keep=0.8)
-    X = rng.uniform(size=(10, 5))
-    dists = output_distributions(gaf, X)
-    assert dists.shape == (10, 3)
-    for row, x in zip(dists, X):
-        assert np.allclose(row, evaluate(gaf, x).output_distribution, rtol=0, atol=1e-12)
+    graphs = [
+        random_gaf(rng, sizes=(5, 4, 3), keep=0.8),
+        random_gaf(rng, sizes=(5, 4, 3, 3), skip=True, keep=0.8),
+        # base scores exactly 0 and 1: +/-inf biases, pinned strengths
+        pin_base_scores(
+            random_gaf(rng, sizes=(5, 4, 3), keep=0.8),
+            {"a1_0": 0.0, "a1_2": 1.0, "a2_1": 1.0, "a2_2": 0.0},
+        ),
+    ]
+    for gaf in graphs:
+        X = rng.uniform(size=(10, 5))
+        dists = output_distributions(gaf, X)
+        assert dists.shape == (10, 3)
+        assert np.array_equal(MaskedNet.from_gaf(gaf).predict_proba(X), dists)
+        for row, x in zip(dists, X):
+            interp = evaluate(gaf, x)
+            # evaluate is the batched path on a one-row batch
+            assert np.array_equal(
+                interp.output_distribution, output_distributions(gaf, x[None, :])[0]
+            )
+            # BLAS sums a one-row product (gemv) in another order than a
+            # multi-row one (gemm), so rows of a larger batch may differ
+            # from it in the last bits
+            assert np.allclose(interp.output_distribution, row, rtol=0, atol=1e-12)
+            trajectory = strength_trajectory(gaf, x, iterations=gaf.depth)
+            assert np.array_equal(
+                trajectory[-1], [interp.strengths[a.id] for a in gaf.arguments()]
+            )
 
 
 def test_connection_count_is_number_of_edges():
@@ -262,8 +294,9 @@ def test_rejects_malformed_graphs():
             [[a], [b]],
             [WeightedEdge("a", "b", 1.0), WeightedEdge("a", "b", 2.0)],  # duplicate edge
         )
-    with pytest.raises(InvalidGraphError):
-        LayeredGaf([[a], [b]], [WeightedEdge("a", "b", float("nan"))])
+    for weight in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidGraphError):
+            LayeredGaf([[a], [b]], [WeightedEdge("a", "b", weight)])
     with pytest.raises(InvalidGraphError):
         LayeredGaf([[a], [b]], [], class_labels=["only", "two", "many"])  # label count
     with pytest.raises(InvalidGraphError):
@@ -296,7 +329,7 @@ def test_prune_inert_edges_keeps_distributions_bitwise():
     ]
     gaf = LayeredGaf(layers, edges, class_labels=("u", "v"))
     pruned = prune_inert_edges(gaf)
-    assert connection_count(pruned) == 3
+    assert pruned.connection_count() == 3
     assert all(e.target != "a1_0" for e in pruned.edges)
     rng = np.random.default_rng(11)
     batch = rng.uniform(0.0, 1.0, size=(16, 2))

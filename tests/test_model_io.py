@@ -113,6 +113,17 @@ def test_invalid_graph_content_is_rejected():
         from_json(json.dumps(doc))
 
 
+def test_non_finite_numbers_are_rejected():
+    doc = json.loads(to_json(sample_gaf()))
+    doc["edges"][0]["weight"] = float("inf")
+    text = json.dumps(doc)  # writes the non-standard token Infinity
+    assert '"weight": Infinity' in text
+    with pytest.raises(ModelFormatError, match="invalid graph"):
+        from_json(text)
+    with pytest.raises(ValueError):
+        to_json(sample_gaf(), metadata={"fitness": float("nan")})
+
+
 def two_edge_gaf():
     layers = [
         [Argument("x1", "petal<3", 0, 0.5), Argument("x2", "petal>=3", 0, 0.5)],

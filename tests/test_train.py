@@ -263,15 +263,15 @@ def test_classifier_assembly_matches_net_predictions():
     structure = GafStructure.fully_connected([4, 3, 2])
     config = TrainConfig(learning_rate=0.1, max_epochs=25, es_patience=25, es_tolerance=0.0)
     result = train(structure, x, y, x, y, config)
-    clf = to_classifier(result, ["f0", "f1", "f2", "f3"], ["no", "yes"])
-    assert clf.gaf.class_labels == ("no", "yes")
-    assert [a.name for a in clf.gaf.input_arguments()] == ["f0", "f1", "f2", "f3"]
-    for arg in clf.gaf.arguments()[4:]:
+    gaf = to_classifier(result, ["f0", "f1", "f2", "f3"], ["no", "yes"])
+    assert gaf.class_labels == ("no", "yes")
+    assert [a.name for a in gaf.input_arguments()] == ["f0", "f1", "f2", "f3"]
+    for arg in gaf.arguments()[4:]:
         assert 1e-6 <= arg.base_score <= 1 - 1e-6
     # graph evaluation agrees with the net (up to the base-score round trip)
     assert np.allclose(
-        output_distributions(clf.gaf, x), result.net.predict_proba(x), rtol=0, atol=1e-9
+        output_distributions(gaf, x), result.net.predict_proba(x), rtol=0, atol=1e-9
     )
     # and is bit-identical when the net is rebuilt from the graph itself
-    rebuilt = MaskedNet.from_gaf(clf.gaf)
-    assert np.array_equal(output_distributions(clf.gaf, x), rebuilt.predict_proba(x))
+    rebuilt = MaskedNet.from_gaf(gaf)
+    assert np.array_equal(output_distributions(gaf, x), rebuilt.predict_proba(x))
