@@ -1,7 +1,7 @@
 """Command-line interface: experiments, baselines, export, semantics runs.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration or usage error.
-The GAF_THREADS environment variable caps fitness-evaluation workers.
+Exit codes: 0 success, 1 runtime failure (such as a diverged training),
+2 configuration or usage error.
 """
 
 from __future__ import annotations

@@ -7,14 +7,12 @@ weights (training module) and scoring a convex combination of train
 accuracy and sparsity: f = (1-lambda)*accuracy + lambda*(N_poss-N_conn)/N_poss.
 Selection is q-tournament, recombination k-point crossover, mutation
 per-bit flips, replacement elitist. Everything is deterministic under the
-config seed, including parallel fitness evaluation.
+config seed; each generation's structures train together as one stack.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +20,7 @@ import numpy as np
 
 from .errors import CodecError, ConfigError, GafError, InputShapeError
 from .graph import GafStructure
-from .train import TrainConfig, TrainResult, accuracy as net_accuracy, train as train_net
+from .train import TrainConfig, TrainResult, accuracy as net_accuracy, train_population
 from .util import derive_seed
 
 
@@ -258,103 +256,34 @@ def elitist_replace(
 
 # -- fitness evaluation ----------------------------------------------------
 
-_WORKER_DATA: tuple | None = None
-
-
-def _init_worker(x_train, y_train, x_val, y_val) -> None:
-    global _WORKER_DATA
-    _WORKER_DATA = (x_train, y_train, x_val, y_val)
-
-
-def _train_one(
-    chromosome: Chromosome,
-    seed: int,
-    train_config: TrainConfig,
-    x_train,
-    y_train,
-    x_val,
-    y_val,
-) -> tuple[float, TrainResult]:
-    structure = decode(chromosome)
-    config = TrainConfig(
-        learning_rate=train_config.learning_rate,
-        max_epochs=train_config.max_epochs,
-        es_patience=train_config.es_patience,
-        es_tolerance=train_config.es_tolerance,
-        batch_size=train_config.batch_size,
-        seed=seed,
-    )
-    result = train_net(structure, x_train, y_train, x_val, y_val, config)
-    return net_accuracy(result.net, x_train, y_train), result
-
-
-def _eval_task(payload) -> tuple[float, TrainResult]:
-    bits, layer_sizes, seed, train_config = payload
-    assert _WORKER_DATA is not None
-    chromosome = Chromosome(np.frombuffer(bits, dtype=np.uint8).copy(), layer_sizes)
-    return _train_one(chromosome, seed, train_config, *_WORKER_DATA)
-
-
-def n_workers() -> int:
-    raw = os.environ.get("GAF_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"GAF_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
+@dataclass
 class _Evaluator:
-    """Trains unique chromosomes once per generation, in index order.
+    """Trains a generation's unique chromosomes once each, together.
 
     Duplicate chromosomes within a generation reuse the first occurrence's
     trained result (and therefore its derived seed), so evaluation cost
-    scales with structural diversity while results stay deterministic and
-    independent of worker count.
+    scales with structural diversity. Each seed comes from the generation
+    and the first occurrence's index, and a stacked training equals a lone
+    one, so results do not depend on which structures train together.
     """
 
-    def __init__(self, x_train, y_train, x_val, y_val, master_seed, lam, train_config):
-        self.data = (
-            np.asarray(x_train, dtype=np.float64),
-            np.asarray(y_train, dtype=np.int64),
-            np.asarray(x_val, dtype=np.float64),
-            np.asarray(y_val, dtype=np.int64),
-        )
-        self.master_seed = master_seed
-        self.lam = lam
-        self.train_config = train_config
-        self.pool = None
-        workers = n_workers()
-        if workers > 1:
-            self.pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=self.data
-            )
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
+    data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y train; x, y val
+    master_seed: int
+    lam: float
+    train_config: TrainConfig
 
     def evaluate(self, chromosomes: list[Chromosome], generation: int) -> list[EvaluatedIndividual]:
         first_index: dict[bytes, int] = {}
         for i, c in enumerate(chromosomes):
             first_index.setdefault(c.key(), i)
-        unique = sorted(first_index.items(), key=lambda kv: kv[1])
-        seeds = {key: derive_seed(self.master_seed, generation, idx) for key, idx in unique}
-
-        outcomes: dict[bytes, tuple[float, TrainResult]] = {}
-        if self.pool is not None:
-            payloads = [
-                (key, chromosomes[idx].layer_sizes, seeds[key], self.train_config)
-                for key, idx in unique
-            ]
-            for (key, _), out in zip(unique, self.pool.map(_eval_task, payloads)):
-                outcomes[key] = out
-        else:
-            for key, idx in unique:
-                outcomes[key] = _train_one(
-                    chromosomes[idx], seeds[key], self.train_config, *self.data
-                )
+        results = train_population(
+            [decode(chromosomes[i]) for i in first_index.values()],
+            *self.data,
+            self.train_config,
+            [derive_seed(self.master_seed, generation, i) for i in first_index.values()],
+        )
+        accuracies = [net_accuracy(r.net, *self.data[:2]) for r in results]
+        outcomes = dict(zip(first_index, zip(accuracies, results)))
 
         population = []
         for c in chromosomes:
@@ -388,59 +317,56 @@ def evolve(
     for ga_patience consecutive generations; always returns the all-time
     best individual plus the per-generation log. Weight-training seeds are
     derived from (seed, generation, individual index), so the outcome does
-    not depend on GAF_THREADS.
+    not depend on which structures share a generation's training stack.
     """
     sizes = tuple(int(s) for s in layer_sizes)
     rng = np.random.default_rng(derive_seed(ga_config.seed, "ga"))
     evaluator = _Evaluator(
-        x_train, y_train, x_val, y_val, ga_config.seed, ga_config.lam, train_config
+        (x_train, y_train, x_val, y_val), ga_config.seed, ga_config.lam, train_config
     )
-    try:
-        chromosomes = init_population(ga_config, sizes, rng)
-        population = _with_context(evaluator, chromosomes, 0)
-        log = [_stats(population, 0)]
-        best = _population_best(population)
-        prev_best = log[0].best_fitness
-        stall = 0
+    chromosomes = init_population(ga_config, sizes, rng)
+    population = _with_context(evaluator, chromosomes, 0)
+    log = [_stats(population, 0)]
+    best = _population_best(population)
+    prev_best = log[0].best_fitness
+    stall = 0
 
-        n = ga_config.population_size
-        n_elites = math.ceil(ga_config.elitist_fraction * n)
-        n_offspring = n - n_elites
-        for generation in range(1, ga_config.generations + 1):
-            pool = [tournament_select(population, ga_config.q, rng) for _ in range(n_offspring)]
-            children: list[Chromosome] = []
-            for i in range(0, n_offspring - 1, 2):
-                c1, c2 = k_point_crossover(
-                    pool[i].chromosome,
-                    pool[i + 1].chromosome,
-                    ga_config.k,
-                    rng,
-                    ga_config.crossover_rate,
-                )
-                children.extend((c1, c2))
-            if len(children) < n_offspring:  # odd pool: clone the leftover parent
-                children.append(pool[-1].chromosome.copy())
-            children = [flip_mutate(c, ga_config.mutation_rate, rng) for c in children]
-            offspring = _with_context(evaluator, children, generation)
-            population = elitist_replace(population, offspring, ga_config.elitist_fraction)
+    n = ga_config.population_size
+    n_elites = math.ceil(ga_config.elitist_fraction * n)
+    n_offspring = n - n_elites
+    for generation in range(1, ga_config.generations + 1):
+        pool = [tournament_select(population, ga_config.q, rng) for _ in range(n_offspring)]
+        children: list[Chromosome] = []
+        for i in range(0, n_offspring - 1, 2):
+            c1, c2 = k_point_crossover(
+                pool[i].chromosome,
+                pool[i + 1].chromosome,
+                ga_config.k,
+                rng,
+                ga_config.crossover_rate,
+            )
+            children.extend((c1, c2))
+        if len(children) < n_offspring:  # odd pool: clone the leftover parent
+            children.append(pool[-1].chromosome.copy())
+        children = [flip_mutate(c, ga_config.mutation_rate, rng) for c in children]
+        offspring = _with_context(evaluator, children, generation)
+        population = elitist_replace(population, offspring, ga_config.elitist_fraction)
 
-            log.append(_stats(population, generation))
-            candidate = _population_best(population)
-            if candidate.fitness > best.fitness or (
-                candidate.fitness == best.fitness
-                and candidate.n_connections < best.n_connections
-            ):
-                best = candidate
-            gen_best = log[-1].best_fitness
-            if gen_best - prev_best <= ga_config.ga_tolerance:
-                stall += 1
-            else:
-                stall = 0
-            prev_best = gen_best
-            if stall >= ga_config.ga_patience:
-                break
-    finally:
-        evaluator.close()
+        log.append(_stats(population, generation))
+        candidate = _population_best(population)
+        if candidate.fitness > best.fitness or (
+            candidate.fitness == best.fitness
+            and candidate.n_connections < best.n_connections
+        ):
+            best = candidate
+        gen_best = log[-1].best_fitness
+        if gen_best - prev_best <= ga_config.ga_tolerance:
+            stall += 1
+        else:
+            stall = 0
+        prev_best = gen_best
+        if stall >= ga_config.ga_patience:
+            break
     return best, log
 
 

@@ -277,10 +277,11 @@ def layer_preactivation(
     ``strengths[src]`` is the (batch, size) strength matrix of layer src;
     the sum runs over the blocks into ``t`` in their sorted order. Every
     forward pass (evaluation, batched distributions, training and the
-    strength trajectory) aggregates through this one function.
+    strength trajectory) aggregates through this one function. A stack of
+    P nets has (P, ...) weights, biases and strengths; inputs may be shared.
     """
-    z = np.empty((strengths[0].shape[0], bias.shape[0]))
-    z[:] = bias
+    z = np.empty(bias.shape[:-1] + strengths[0].shape[-2:-1] + bias.shape[-1:])
+    z[:] = bias[..., None, :]
     for (src, dst, _), w in zip(blocks, weights):
         if dst == t:
             z += strengths[src] @ w
@@ -295,12 +296,12 @@ def forward_pass(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Strengths of every non-output layer and the output pre-activations.
 
-    ``x`` is a (batch, inputs) matrix. Hidden strengths are the logistic of
-    their pre-activations; the output layer is left as pre-activations,
-    which is what both the softmax and the training loss consume.
+    ``x`` is a (batch, inputs) matrix, or (P, batch, inputs) for a stack.
+    Hidden strengths are the logistic of their pre-activations; the output
+    layer stays pre-activations, which the softmax and the loss consume.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != structure.layer_sizes[0]:
+    if x.ndim not in (2, biases[0].ndim + 1) or x.shape[-1] != structure.layer_sizes[0]:
         raise InputShapeError(
             f"expected (n, {structure.layer_sizes[0]}) inputs, got shape {x.shape}"
         )

@@ -4,19 +4,21 @@ A layered graph with given connections is a sparse MLP: logistic hidden
 units, softmax over the output layer's pre-activations, mean cross-entropy
 loss. Base scores are trained through their log-odds (an unconstrained
 bias), weights only where the structure has an edge. Optimization is Adam
-with early stopping on validation loss.
+with early stopping on validation loss. Every kernel also runs on a stack
+of nets with a leading population axis, equal slice by slice to one net.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import ConfigError, InputShapeError
+from .errors import ConfigError, GafError, InputShapeError
 from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass
-from .util import softmax_rows
+from .util import log_sum_exp, softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -67,6 +69,7 @@ class MaskedNet:
             b.shape != (sizes[t + 1],) for t, b in enumerate(self.biases)
         ):
             raise InputShapeError("bias shapes do not match layer sizes")
+        self.masks = [m for _, _, m in self.structure.blocks]
 
     @classmethod
     def initialize(cls, structure: GafStructure, rng: np.random.Generator) -> "MaskedNet":
@@ -75,12 +78,20 @@ class MaskedNet:
         return cls(structure, weights, biases)
 
     @classmethod
+    def stack(cls, nets: Sequence["MaskedNet"]) -> "MaskedNet":
+        """The nets as one: (P, ...) weights, masks and biases. Its ``structure``
+        is the first net's, and serves only as the layout that all P share."""
+        if len({(n.structure.layer_sizes, *(b[:2] for b in n.structure.blocks)) for n in nets}) > 1:
+            raise InputShapeError("stacked nets must share layer sizes and block pairs")
+        stacked = copy.copy(nets[0])
+        for name in ("weights", "biases", "masks"):
+            setattr(stacked, name, [np.stack(a) for a in zip(*(getattr(n, name) for n in nets))])
+        return stacked
+
+    @classmethod
     def from_gaf(cls, gaf: LayeredGaf) -> "MaskedNet":
         structure, weights, biases = gaf.parameters()
         return cls(structure, weights, biases)
-
-    def copy_params(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
 
     def set_params(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
         self.weights = [w.copy() for w in weights]
@@ -103,20 +114,24 @@ def accuracy(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(net.predict(x) == np.asarray(y)))
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of output pre-activations, and their class distributions."""
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Mean cross-entropy of output pre-activations: a float, or one per stacked net.
+
+    ``y`` holds a class per row, shared by a stack's nets or one row per net.
+    """
     y = np.asarray(y, dtype=np.int64)
-    if y.shape != (z.shape[0],) or (y < 0).any() or (y >= z.shape[1]).any():
+    if y.shape not in (z.shape[-2:-1], z.shape[:-1]) or (y < 0).any() or (y >= z.shape[-1]).any():
         raise InputShapeError("labels must be class indices matching the batch")
-    log_norm = logsumexp(z, axis=1)
-    loss = float(np.mean(log_norm - z[np.arange(z.shape[0]), y]))
-    return loss, softmax_rows(z)
+    labels = y.reshape((1,) * (z.ndim - 1 - y.ndim) + y.shape + (1,))
+    picked = np.take_along_axis(z, labels, axis=-1)[..., 0]
+    loss = np.mean(log_sum_exp(z) - picked, axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def forward_loss(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and per-instance class distributions."""
     _, z = net.forward(x)
-    return _cross_entropy(z, y)
+    return _cross_entropy(z, y), softmax_rows(z)
 
 
 def gradients(
@@ -128,18 +143,14 @@ def gradients(
     Gradient entries at masked-out positions are exactly zero.
     """
     activations, z = net.forward(x)
-    loss, probs = _cross_entropy(z, y)
-    y = np.asarray(y, dtype=np.int64)
-    batch = z.shape[0]
+    loss = _cross_entropy(z, y)
+    one_hot = np.asarray(y)[..., None] == np.arange(z.shape[-1])
+    dz = (softmax_rows(z) - one_hot) / z.shape[-2]
 
     n_layers = len(net.structure.layer_sizes)
     d_strength: list[np.ndarray | None] = [None] * n_layers
     grad_w = [np.zeros_like(w) for w in net.weights]
     grad_b = [np.zeros_like(b) for b in net.biases]
-
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(batch), y] = 1.0
-    dz = (probs - one_hot) / batch
     for t in range(n_layers - 1, 0, -1):
         if t < n_layers - 1:
             ds = d_strength[t]
@@ -147,16 +158,15 @@ def gradients(
                 continue  # no path from this layer to the loss
             s = activations[t]
             dz = ds * s * (1.0 - s)
-        grad_b[t - 1] = dz.sum(axis=0)
-        for bi, ((src, dst, mask), w) in enumerate(zip(net.structure.blocks, net.weights)):
+        grad_b[t - 1] = dz.sum(axis=-2)
+        for bi, ((src, dst, _), w, mask) in enumerate(
+            zip(net.structure.blocks, net.weights, net.masks)
+        ):
             if dst != t:
                 continue
-            grad_w[bi] = (activations[src].T @ dz) * mask
-            back = dz @ w.T
-            if d_strength[src] is None:
-                d_strength[src] = back
-            else:
-                d_strength[src] = d_strength[src] + back
+            grad_w[bi] = (np.swapaxes(activations[src], -1, -2) @ dz) * mask
+            back = dz @ np.swapaxes(w, -1, -2)
+            d_strength[src] = back if d_strength[src] is None else d_strength[src] + back
     return loss, grad_w, grad_b
 
 
@@ -214,16 +224,33 @@ def train(
     y_val: np.ndarray,
     config: TrainConfig,
 ) -> TrainResult:
-    """Train weights and biases of the given structure with Adam.
+    """Train one structure's weights and biases under config.seed; see train_population."""
+    return train_population([structure], x_train, y_train, x_val, y_val, config, [config.seed])[0]
 
-    Per-epoch train loss is the mean of the batch losses (each computed
-    before its update step). After every epoch the validation loss gates
-    early stopping: the best parameters seen are kept (strictly smaller
-    validation loss wins, earliest epoch on ties), and training stops once
-    es_patience consecutive epochs fail to improve on the best by more
-    than es_tolerance. Deterministic under config.seed.
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises below
+def train_population(
+    structures: Sequence[GafStructure],
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
+    config: TrainConfig,
+    seeds: Sequence[int],
+) -> list[TrainResult]:
+    """Train each structure with Adam under its own seed, all as one stack.
+
+    Individual i draws its initial weights and each epoch's minibatch order
+    from ``default_rng(seeds[i])`` (``config.seed`` is ignored). Per-epoch
+    train loss is the mean of the batch losses, each taken before its
+    update. After every epoch the validation loss gates early stopping: the
+    best parameters seen are kept (strictly smaller loss wins, earliest
+    epoch on ties), and an individual leaves the stack once es_patience
+    consecutive epochs fail to beat its best by more than es_tolerance.
+    Each result is bit-identical to training its structure alone. A train
+    or validation loss that is not finite raises :class:`GafError` naming i.
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
+    x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
     y_val = np.asarray(y_val, dtype=np.int64)
@@ -231,57 +258,86 @@ def train(
         raise ConfigError("training split is empty")
     if x_val.shape[0] == 0:
         raise ConfigError("validation split is empty")
+    if len(seeds) != len(structures):
+        raise ConfigError(f"{len(seeds)} seeds for {len(structures)} structures")
+    if not structures:
+        return []
 
-    rng = np.random.default_rng(config.seed)
-    net = MaskedNet.initialize(structure, rng)
-    params = net.weights + net.biases
-    state = AdamState.zeros_like(params)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    nets = [MaskedNet.initialize(st, rng) for st, rng in zip(structures, rngs)]
+    histories = [TrainingHistory() for _ in nets]
+    results: dict[int, TrainResult] = {}
+    stack = MaskedNet.stack(nets)
+    state = AdamState.zeros_like(stack.weights + stack.biases)
+    best = [p.copy() for p in stack.weights + stack.biases]
+    n_weights = len(stack.weights)
+    # per stacked individual: its index i, best loss, best epoch, stall count
+    active = np.arange(len(nets))
+    best_loss = np.full(len(nets), np.inf)
+    best_epoch, stall = np.zeros((2, len(nets)), dtype=np.int64)
 
     n = x_train.shape[0]
     batch_size = config.batch_size if 0 < config.batch_size < n else n
-    history = TrainingHistory()
-    best_loss = np.inf
-    best_params = net.copy_params()
-    best_epoch = 0
-    stall = 0
-    step = 0
-
+    starts = range(0, n, batch_size)
     for epoch in range(1, config.max_epochs + 1):
+        params = stack.weights + stack.biases
         if batch_size < n:
-            order = rng.permutation(n)
-        else:
-            order = np.arange(n)
-        batch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss, grad_w, grad_b = gradients(net, x_train[idx], y_train[idx])
-            batch_losses.append(loss)
-            step += 1
+            order = np.stack([rngs[i].permutation(n) for i in active])
+        batch_losses = np.empty((len(active), len(starts)))
+        for b, start in enumerate(starts):
+            if batch_size < n:
+                idx = order[:, start : start + batch_size]
+                loss, grad_w, grad_b = gradients(stack, x_train[idx], y_train[idx])
+            else:
+                loss, grad_w, grad_b = gradients(stack, x_train, y_train)
+            batch_losses[:, b] = loss
+            step = (epoch - 1) * len(starts) + b + 1
             adam_step(params, grad_w + grad_b, state, step, config.learning_rate)
-        val_loss, _ = forward_loss(net, x_val, y_val)
-        history.train_loss.append(float(np.mean(batch_losses)))
-        history.val_loss.append(val_loss)
-        history.val_accuracy.append(accuracy(net, x_val, y_val))
+        train_loss = batch_losses.mean(axis=1)
+        _, z = stack.forward(x_val)  # one pass gives validation loss and accuracy
+        val_loss = _cross_entropy(z, y_val)
+        val_accuracy = np.mean(np.argmax(z, axis=-1) == y_val, axis=-1)
 
-        if epoch == 1 or val_loss < best_loss - config.es_tolerance:
-            stall = 0
-        else:
-            stall += 1
-        if epoch == 1 or val_loss < best_loss:
-            best_loss = val_loss
-            best_params = net.copy_params()
-            best_epoch = epoch
-        if stall >= config.es_patience:
+        finite = np.isfinite(train_loss) & np.isfinite(val_loss)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise GafError(
+                f"individual {active[k]} (seed {seeds[active[k]]}) diverged at epoch {epoch}: "
+                f"train loss {train_loss[k]}, validation loss {val_loss[k]}"
+            )
+        for i, tl, vl, va in zip(
+            active.tolist(), train_loss.tolist(), val_loss.tolist(), val_accuracy.tolist()
+        ):
+            histories[i].train_loss.append(tl)
+            histories[i].val_loss.append(vl)
+            histories[i].val_accuracy.append(va)
+
+        if epoch > 1:
+            stall = np.where(val_loss < best_loss - config.es_tolerance, 0, stall + 1)
+        improved = val_loss < best_loss
+        best_loss = np.where(improved, val_loss, best_loss)
+        best_epoch = np.where(improved, epoch, best_epoch)
+        for kept, p in zip(best, params):
+            np.copyto(kept, p, where=improved.reshape((-1,) + (1,) * (p.ndim - 1)))
+
+        stopped = (stall >= config.es_patience) | (epoch == config.max_epochs)
+        for k in np.flatnonzero(stopped).tolist():
+            i = int(active[k])
+            nets[i].set_params([p[k] for p in best[:n_weights]], [p[k] for p in best[n_weights:]])
+            h = histories[i]
+            results[i] = TrainResult(nets[i], h, len(h.val_loss), int(best_epoch[k]), seeds[i])
+        if stopped.all():
             break
-
-    net.set_params(*best_params)
-    return TrainResult(
-        net=net,
-        history=history,
-        epochs_run=len(history.val_loss),
-        best_epoch=best_epoch,
-        seed=config.seed,
-    )
+        if stopped.any():  # drop the stopped individuals from the stack
+            keep = np.flatnonzero(~stopped)
+            active, best_loss, best_epoch, stall = (
+                a[keep] for a in (active, best_loss, best_epoch, stall)
+            )
+            stack.weights, stack.biases, stack.masks, best, state.m, state.v = (
+                [a[keep] for a in arrays]
+                for arrays in (stack.weights, stack.biases, stack.masks, best, state.m, state.v)
+            )
+    return [results[i] for i in range(len(nets))]
 
 
 def to_classifier(

@@ -19,7 +19,7 @@ def derive_seed(*parts: int | str) -> int:
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax that tolerates +/-inf entries.
+    """Softmax over the last axis that tolerates +/-inf entries.
 
     +inf pre-activations (base score exactly 1) take all the mass, split
     uniformly if several; a row of only -inf degenerates to uniform.
@@ -27,7 +27,8 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if np.isinf(z).any():
         out = np.empty_like(z)
-        for i, row in enumerate(z):
+        for i in np.ndindex(z.shape[:-1]):
+            row = z[i]
             pos = np.isposinf(row)
             if pos.any():
                 out[i] = pos / pos.sum()
@@ -38,6 +39,23 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
                 e = np.where(np.isneginf(shifted), 0.0, np.exp(shifted))
                 out[i] = e / e.sum()
         return out
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_sum_exp(z: np.ndarray) -> np.ndarray:
+    """log(sum(exp(z))) over the last axis, bit for bit as scipy 1.17's logsumexp:
+    log1p(sum of exp(z - max) over the non-max terms / m) + log(m) + max,
+    for m tied maxima, and the direct form wherever that is not finite.
+    """
+    z_max = z.max(axis=-1, keepdims=True)
+    is_max = z == z_max
+    m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_max, -np.inf, z) - z_max).sum(axis=-1, keepdims=True)
+        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + z_max)[..., 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(z).sum(axis=-1)))
+    return out

@@ -35,6 +35,18 @@ def test_missing_schema_exits_2_naming_path(tmp_path, capsys):
     assert "gone.schema.json" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # an overflow warning would be a second line
+def test_diverged_training_exits_1_with_one_line(tmp_path, capsys):
+    write_toy_dataset(tmp_path)
+    train = {"learning_rate": 1e308, "max_epochs": 30, "es_patience": 3}
+    cfg = write_toy_config(tmp_path, train=train)
+    assert run_cli("train", "--config", cfg, "--runs", "1", "--out", tmp_path / "out") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: generation 0: individual ")
+    assert "diverged at epoch" in lines[0]
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

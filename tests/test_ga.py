@@ -298,6 +298,29 @@ def test_evolve_best_fitness_is_monotone_and_log_well_formed():
     assert best.fitness == fits[-1]
 
 
+def test_evolve_runs_when_elites_fill_the_population():
+    # ceil(0.6 * 2) = 2 elites leave no offspring to train in later generations
+    x, y = toy_problem()
+    config = GaConfig(
+        population_size=2,
+        generations=3,
+        crossover_rate=0.9,
+        mutation_rate=0.1,
+        elitist_fraction=0.6,
+        lam=0.3,
+        n_conn_init=(1,),
+        q=2,
+        seed=5,
+        ga_patience=3,
+        ga_tolerance=0.0,
+        k=1,
+    )
+    best, log = evolve(x, y, x, y, (1, 2), config, toy_train_config())
+    assert [s.generation for s in log] == [0, 1, 2, 3]
+    assert len({s.best_fitness for s in log}) == 1
+    assert best.fitness == log[0].best_fitness
+
+
 def test_evolve_lambda_one_empties_the_graph():
     x, y = toy_problem()
     config = GaConfig(
@@ -318,7 +341,7 @@ def test_evolve_lambda_one_empties_the_graph():
     assert best.fitness == 1.0
 
 
-def test_evolve_is_deterministic_and_thread_count_invariant(monkeypatch):
+def test_evolve_is_deterministic_and_batch_composition_invariant(monkeypatch):
     x, y = toy_problem()
     config = GaConfig(
         population_size=6,
@@ -339,10 +362,23 @@ def test_evolve_is_deterministic_and_thread_count_invariant(monkeypatch):
     assert log_a == log_b
     assert np.array_equal(best_a.chromosome.bits, best_b.chromosome.bits)
 
-    monkeypatch.setenv("GAF_THREADS", "2")
+    # train each structure alone instead of in its generation's stack
+    together = ga.train_population
+
+    def one_at_a_time(structures, x_tr, y_tr, x_va, y_va, train_config, seeds):
+        return [
+            together([s], x_tr, y_tr, x_va, y_va, train_config, [seed])[0]
+            for s, seed in zip(structures, seeds)
+        ]
+
+    monkeypatch.setattr(ga, "train_population", one_at_a_time)
     best_c, log_c = evolve(x, y, x, y, (1, 2), config, tc)
     assert log_c == log_a
     assert np.array_equal(best_c.chromosome.bits, best_a.chromosome.bits)
+    for p, q in zip(best_c.result.net.weights + best_c.result.net.biases,
+                    best_a.result.net.weights + best_a.result.net.biases):
+        assert np.array_equal(p, q)
+    assert best_c.result.history == best_a.result.history
 
 
 def test_ga_patience_stops_early():
@@ -367,13 +403,13 @@ def test_ga_patience_stops_early():
 def test_duplicate_chromosomes_are_trained_once(monkeypatch):
     x, y = toy_problem()
     calls = {"n": 0}
-    real = ga.train_net
+    real = ga.train_population
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
+    def counting(structures, *args):
+        calls["n"] += len(structures)
+        return real(structures, *args)
 
-    monkeypatch.setattr(ga, "train_net", counting)
+    monkeypatch.setattr(ga, "train_population", counting)
     config = GaConfig(
         population_size=6,
         generations=1,

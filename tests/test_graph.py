@@ -313,6 +313,10 @@ def test_rejects_bad_inputs():
         evaluate(gaf, [float("nan")])
     with pytest.raises(InputShapeError):
         output_distributions(gaf, np.zeros((3, 2)))
+    with pytest.raises(InputShapeError):  # a stacked batch needs a stacked net
+        output_distributions(gaf, np.zeros((2, 3, 1)))
+    with pytest.raises(InputShapeError):
+        MaskedNet.from_gaf(gaf).predict(np.zeros((2, 3, 1)))
 
 
 def test_prune_inert_edges_keeps_distributions_bitwise():

@@ -1,23 +1,28 @@
 """Loss, gradients, Adam, and the training loop on hand-checkable cases."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from gaflearn.errors import ConfigError
+from gaflearn.errors import ConfigError, GafError, InputShapeError
 from gaflearn.graph import GafStructure, output_distributions
 from gaflearn.train import (
     AdamState,
     MaskedNet,
     TrainConfig,
+    TrainingHistory,
     accuracy,
     adam_step,
     forward_loss,
     gradients,
     to_classifier,
     train,
+    train_population,
 )
+from gaflearn.util import log_sum_exp
 
 
 def zero_net(layer_sizes):
@@ -130,6 +135,79 @@ def test_gradients_match_finite_differences():
         assert finite_difference_check(net, x, y) < 1e-4
 
 
+def random_stack(rng, n_nets=3):
+    """Nets of one random layout (some with a skip block) and their stack."""
+    first = random_net(rng)
+    layout = first.structure
+    nets = [first]
+    for _ in range(n_nets - 1):
+        blocks = tuple((s, d, rng.uniform(size=m.shape) < 0.7) for s, d, m in layout.blocks)
+        structure = GafStructure(layout.layer_sizes, blocks)
+        weights = [rng.uniform(-2, 2, size=m.shape) * m for _, _, m in blocks]
+        biases = [rng.uniform(-2, 2, size=s) for s in layout.layer_sizes[1:]]
+        nets.append(MaskedNet(structure, weights, biases))
+    return nets, MaskedNet.stack(nets)
+
+
+def test_stacked_gradients_match_each_slice_and_finite_differences():
+    rng = np.random.default_rng(2718)
+    h = 1e-5
+    for _ in range(10):
+        nets, stack = random_stack(rng)
+        sizes = stack.structure.layer_sizes
+        x = rng.uniform(size=(3, int(rng.integers(1, 8)), sizes[0]))
+        y = rng.integers(0, sizes[-1], size=x.shape[:2])
+        loss, grad_w, grad_b = gradients(stack, x, y)
+        # a shared input batch broadcasts over the stack
+        shared_loss, shared_w, shared_b = gradients(stack, x[0], y[0])
+        for k, net in enumerate(nets):
+            alone_loss, alone_w, alone_b = gradients(net, x[k], y[k])
+            assert loss[k] == alone_loss
+            assert all(np.array_equal(g[k], a) for g, a in zip(grad_w + grad_b, alone_w + alone_b))
+            first_loss, first_w, first_b = gradients(net, x[0], y[0])
+            assert shared_loss[k] == first_loss
+            assert all(np.array_equal(g[k], a) for g, a in zip(shared_w + shared_b, first_w + first_b))
+
+        # criterion 1's check, on every slice of the stacked net
+        worst = 0.0
+        params = stack.weights + stack.biases
+        masks = stack.masks + [np.ones(b.shape, dtype=bool) for b in stack.biases]
+        for p, g, mask in zip(params, grad_w + grad_b, masks):
+            for index in zip(*np.nonzero(mask)):
+                orig = p[index]
+                p[index] = orig + h
+                lp, _ = forward_loss(stack, x, y)
+                p[index] = orig - h
+                lm, _ = forward_loss(stack, x, y)
+                p[index] = orig
+                k = index[0]
+                fd = (lp[k] - lm[k]) / (2 * h)
+                worst = max(worst, abs(g[index] - fd) / max(abs(g[index]), abs(fd), 1e-6))
+            assert (g[~mask] == 0.0).all()
+        assert worst < 1e-4
+
+
+def test_log_sum_exp_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(3000):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        kind = trial % 3
+        if kind == 0:  # random, from tiny to huge magnitudes
+            z = rng.normal(size=shape) * 10.0 ** float(rng.integers(-300, 308))
+        elif kind == 1:  # many tied maxima
+            z = rng.integers(-2, 3, size=shape).astype(np.float64)
+        else:  # +/-inf entries, including rows of only -inf
+            z = rng.normal(0.0, 3.0, size=shape)
+            u = rng.uniform(size=shape)
+            z[u < 0.25] = -np.inf
+            z[u > 0.85] = np.inf
+            z[int(rng.integers(shape[0]))] = -np.inf
+        expected = logsumexp(z, axis=1)
+        got = log_sum_exp(z)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), z
+
+
 def test_adam_first_step_moves_by_learning_rate():
     params = [np.array([1.0, -2.0])]
     grads = [np.array([0.5, -0.25])]
@@ -165,6 +243,97 @@ def separable_toy():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
     y = x[:, 0].astype(np.int64)
     return x, y
+
+
+def three_class_task(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(n, 4)).astype(np.float64)
+    y = (x[:, 0] + x[:, 1] + x[:, 2] * rng.uniform(size=n)).astype(np.int64)
+    return x, y
+
+
+def reference_train(structure, x, y, xv, yv, config):
+    """The per-structure training loop, written with the single-net kernels."""
+    rng = np.random.default_rng(config.seed)
+    net = MaskedNet.initialize(structure, rng)
+    params = net.weights + net.biases
+    state = AdamState.zeros_like(params)
+    n = x.shape[0]
+    batch = config.batch_size if 0 < config.batch_size < n else n
+    history = TrainingHistory()
+    best_loss, best, best_epoch, stall, step = np.inf, None, 0, 0, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        losses = []
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss, grad_w, grad_b = gradients(net, x[idx], y[idx])
+            losses.append(loss)
+            step += 1
+            adam_step(params, grad_w + grad_b, state, step, config.learning_rate)
+        val_loss, _ = forward_loss(net, xv, yv)
+        history.train_loss.append(float(np.mean(losses)))
+        history.val_loss.append(val_loss)
+        history.val_accuracy.append(accuracy(net, xv, yv))
+        stall = 0 if epoch == 1 or val_loss < best_loss - config.es_tolerance else stall + 1
+        if epoch == 1 or val_loss < best_loss:
+            best_loss, best_epoch = val_loss, epoch
+            best = [w.copy() for w in net.weights], [b.copy() for b in net.biases]
+        if stall >= config.es_patience:
+            break
+    net.set_params(*best)
+    return net, history, best_epoch
+
+
+@pytest.mark.parametrize(
+    "batch_size, es_patience",
+    [(0, 60), (0, 3), (16, 60), (16, 3), (7, 2)],
+)
+def test_train_population_equals_training_each_structure_alone(batch_size, es_patience):
+    rng = np.random.default_rng(batch_size * 100 + es_patience)
+    sizes = (4, 5, 3)
+    x, y = three_class_task(seed=11, n=70)
+    xv, yv = three_class_task(seed=12, n=30)
+    structures = [
+        GafStructure(sizes, tuple(
+            (i, i + 1, rng.uniform(size=(sizes[i], sizes[i + 1])) < 0.6) for i in range(2)
+        ))
+        for _ in range(8)
+    ]
+    seeds = [int(s) for s in rng.integers(1 << 40, size=len(structures))]
+    config = TrainConfig(learning_rate=0.1, max_epochs=60, es_patience=es_patience,
+                         es_tolerance=1e-3, batch_size=batch_size)
+    together = train_population(structures, x, y, xv, yv, config, seeds)
+    for structure, seed, result in zip(structures, seeds, together):
+        alone = train(structure, x, y, xv, yv, replace(config, seed=seed))
+        net, history, best_epoch = reference_train(structure, x, y, xv, yv, replace(config, seed=seed))
+        for other in (alone.net, net):
+            for p, q in zip(result.net.weights + result.net.biases, other.weights + other.biases):
+                assert np.array_equal(p, q)
+        assert result.history == alone.history == history
+        assert result.epochs_run == alone.epochs_run == len(history.val_loss)
+        assert result.best_epoch == alone.best_epoch == best_epoch
+        assert result.seed == alone.seed == seed
+    if es_patience < 10:  # individuals stop at different epochs, so the stack shrank
+        assert len({r.epochs_run for r in together}) > 1
+
+
+def test_train_population_rejects_mixed_layouts():
+    x, y = separable_toy()
+    config = TrainConfig(learning_rate=0.1, max_epochs=2)
+    two = [GafStructure.fully_connected([2, 2]), GafStructure.fully_connected([2, 3, 2])]
+    with pytest.raises(InputShapeError, match="share layer sizes"):
+        train_population(two, x, y, x, y, config, [1, 2])
+    with pytest.raises(ConfigError, match="seeds"):
+        train_population(two[:1], x, y, x, y, config, [1, 2])
+
+
+def test_diverged_training_fails_loudly():
+    x, y = noisy_task()
+    structure = GafStructure.fully_connected([4, 3, 2])
+    config = TrainConfig(learning_rate=1e308, max_epochs=20, es_patience=20)
+    with pytest.raises(GafError, match=r"individual 0 \(seed 0\) diverged at epoch \d+"):
+        train(structure, x, y, x, y, config)
 
 
 def test_training_solves_separable_toy_without_hidden_layer():
