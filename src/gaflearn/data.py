@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,12 @@ def schema_from_dict(raw: dict) -> DatasetSchema:
                 isinstance(t, (int, float)) and not isinstance(t, bool) for t in thresholds
             ):
                 raise SchemaError(f"column {name!r}: 'thresholds' must be a non-empty number list")
+            try:
+                finite = all(math.isfinite(t) for t in thresholds)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise SchemaError(f"column {name!r}: 'thresholds' must be finite")
             thresholds = tuple(sorted(set(float(t) for t in thresholds)))
         specs.append(ColumnSpec(name=name, kind=kind, bins=bins, thresholds=thresholds))
     label_values = raw.get("label_values")
@@ -134,6 +141,11 @@ class RawDataset:
     @property
     def n_instances(self) -> int:
         return len(self.rows)
+
+    def label_indices(self) -> np.ndarray:
+        """Each row's label as its index in ``label_values``."""
+        index = {name: i for i, name in enumerate(self.label_values)}
+        return np.fromiter(map(index.__getitem__, self.labels), np.int64, self.n_instances)
 
 
 def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
@@ -182,12 +194,18 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
                 value = fields[pos]
                 if spec.kind == "numeric":
                     try:
-                        parsed.append(float(value))
+                        number = float(value)
                     except ValueError:
                         raise ParseError(
                             f"{path}: line {line_no}: column {spec.name!r}: "
                             f"{value!r} is not numeric"
                         ) from None
+                    if not math.isfinite(number):
+                        raise ParseError(
+                            f"{path}: line {line_no}: column {spec.name!r}: "
+                            f"{value!r} is not a finite number"
+                        )
+                    parsed.append(number)
                 elif spec.kind == "binary":
                     if value not in ("0", "1"):
                         raise ParseError(
@@ -226,7 +244,11 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
 
 @dataclass(frozen=True)
 class Indicator:
-    """One binary input feature and the predicate on the raw column behind it."""
+    """One binary input feature and the predicate on the raw column behind it.
+
+    ``binarize`` applies the same tests to a whole column at once; ``matches``
+    is the per-value reference that the tests compare it against.
+    """
 
     name: str
     source_column: str
@@ -323,7 +345,7 @@ def binarize(
         raise InputShapeError("fit_indices must be a non-empty subset of row indices")
 
     indicators: list[Indicator] = []
-    columns: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []  # (indicators, rows) per source column
     for ci, spec in enumerate(raw.specs):
         values = [row[ci] for row in raw.rows]
         if spec.kind == "numeric":
@@ -343,58 +365,57 @@ def binarize(
                 )
             feats = _bin_indicators(spec.name, thresholds)
             indicators.extend(feats)
-            for ind in feats:
-                columns.append(
-                    np.fromiter((1.0 if ind.matches(v) else 0.0 for v in arr), np.float64, n)
-                )
+            block = np.ones((len(feats), n), dtype=bool)
+            for col, ind in zip(block, feats):  # Indicator.matches on a whole column
+                if ind.lo is not None:
+                    col &= arr >= ind.lo
+                if ind.hi is not None:
+                    col &= arr < ind.hi
+            blocks.append(block)
         elif spec.kind == "categorical":
-            levels = sorted(set(values))
+            levels, block = _one_hot(values)
             if len(levels) == 1:
                 warnings.warn(f"categorical column {spec.name!r} has a single level")
-            for level in levels:
-                ind = Indicator(
-                    name=f"{spec.name}={level}",
-                    source_column=spec.name,
-                    kind="category",
-                    category=level,
-                )
-                indicators.append(ind)
-                columns.append(
-                    np.fromiter((1.0 if v == level else 0.0 for v in values), np.float64, n)
-                )
+            indicators.extend(
+                Indicator(f"{spec.name}={level}", spec.name, "category", category=level)
+                for level in levels
+            )
+            blocks.append(block)
         else:  # binary
             indicators.append(Indicator(name=spec.name, source_column=spec.name, kind="binary"))
-            columns.append(np.asarray(values, dtype=np.float64))
+            blocks.append(np.asarray(values, dtype=np.float64)[None])
 
-    label_index = {name: i for i, name in enumerate(raw.label_values)}
-    labels = np.fromiter((label_index[l] for l in raw.labels), np.int64, n)
-    matrix = np.column_stack(columns) if columns else np.zeros((n, 0))
     return BinarizedDataset(
         indicators=tuple(indicators),
-        matrix=matrix,
-        labels=labels,
+        matrix=np.vstack(blocks).T.astype(np.float64, order="C"),
+        labels=raw.label_indices(),
         label_names=raw.label_values,
     )
+
+
+def _one_hot(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """A categorical column's sorted levels and its (levels, rows) boolean one-hot block."""
+    levels = sorted(set(values))
+    code = {level: i for i, level in enumerate(levels)}
+    codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+    return levels, codes == np.arange(len(levels))[:, None]
 
 
 def raw_feature_matrix(raw: RawDataset) -> tuple[tuple[str, ...], np.ndarray]:
     """Feature matrix without numeric binning: numeric and binary columns
     pass through, categoricals become one-hot indicators."""
     names: list[str] = []
-    cols: list[np.ndarray] = []
-    n = raw.n_instances
+    blocks: list[np.ndarray] = []
     for ci, spec in enumerate(raw.specs):
         values = [row[ci] for row in raw.rows]
         if spec.kind == "categorical":
-            for level in sorted(set(values)):
-                names.append(f"{spec.name}={level}")
-                cols.append(
-                    np.fromiter((1.0 if v == level else 0.0 for v in values), np.float64, n)
-                )
+            levels, block = _one_hot(values)
+            names.extend(f"{spec.name}={level}" for level in levels)
+            blocks.append(block)
         else:
             names.append(spec.name)
-            cols.append(np.asarray(values, dtype=np.float64))
-    return tuple(names), np.column_stack(cols)
+            blocks.append(np.asarray(values, dtype=np.float64)[None])
+    return tuple(names), np.vstack(blocks).T.astype(np.float64, order="C")
 
 
 @dataclass(frozen=True)

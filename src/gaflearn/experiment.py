@@ -20,7 +20,6 @@ import numpy as np
 from .baselines import Metrics, evaluate_metrics, train_logistic, train_tree
 from .data import (
     BinarizedDataset,
-    RawDataset,
     binarize,
     load_csv,
     load_schema,
@@ -268,11 +267,6 @@ def run_seed_for(master_seed: int, run: int) -> int:
     return derive_seed(master_seed, "run", run)
 
 
-def _label_indices(raw: RawDataset) -> np.ndarray:
-    lut = {name: i for i, name in enumerate(raw.label_values)}
-    return np.fromiter((lut[l] for l in raw.labels), np.int64, raw.n_instances)
-
-
 def _take(matrix: np.ndarray, labels: np.ndarray, indices: Sequence[int]):
     idx = np.asarray(indices, dtype=np.int64)
     return matrix[idx], labels[idx]
@@ -376,7 +370,7 @@ def _run_experiment(
     say = echo if echo is not None else lambda _msg: None
     schema = load_schema(config.schema_path)
     raw = load_csv(config.dataset_path, schema)
-    labels_all = _label_indices(raw)
+    labels_all = raw.label_indices()
     n_classes = len(raw.label_values)
     raw_matrix = raw_feature_matrix(raw)[1] if raw_features else None
     full = None

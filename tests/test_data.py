@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaflearn.data import (
+    KINDS,
+    ColumnSpec,
+    RawDataset,
     binarize,
     load_csv,
     load_schema,
@@ -161,6 +166,72 @@ def test_predicates_reproduce_matrix(tmp_path):
             assert binz.matrix[r, c] == want
 
 
+# few values, so columns tie, go constant and meet thresholds drawn from the same pool
+NUMBER_POOL = (-1.5, 0.0, 0.25, 1.0, 2.0, 7.0)
+
+
+@st.composite
+def raw_tables(draw):
+    """Small RawDatasets mixing all three column kinds, as load_csv builds them."""
+    n = draw(st.integers(1, 20))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+    specs, columns = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "numeric":
+            values = st.sampled_from(NUMBER_POOL)
+            thresholds = draw(st.none() | st.sets(values, min_size=1, max_size=3))
+            bins = None if thresholds else draw(st.none() | st.integers(2, 5))
+            thresholds = tuple(sorted(thresholds)) if thresholds else None
+            specs.append(ColumnSpec(f"c{j}", kind, bins=bins, thresholds=thresholds))
+        else:
+            values = st.sampled_from(["a", "b", "c", "?"] if kind == "categorical" else [0, 1])
+            specs.append(ColumnSpec(f"c{j}", kind))
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    raw = RawDataset(
+        feature_names=tuple(spec.name for spec in specs),
+        specs=tuple(specs),
+        rows=tuple(zip(*columns)),
+        labels=tuple(draw(st.lists(st.sampled_from(["p", "q"]), min_size=n, max_size=n))),
+        label_name="y",
+        label_values=("q", "p"),  # not sorted, so the declared order must be kept
+        n_dropped=0,
+    )
+    fit = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return raw, draw(st.integers(2, 4)), fit
+
+
+@pytest.mark.filterwarnings("ignore:.*(constant|single level)")
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(raw_tables())
+def test_binarize_matches_indicator_predicates_and_stays_one_hot(table):
+    raw, bins_per_numeric, fit = table
+    binz = binarize(raw, bins_per_numeric, fit_indices=fit)
+    col_pos = {name: i for i, name in enumerate(raw.feature_names)}
+    want = [
+        [1.0 if ind.matches(row[col_pos[ind.source_column]]) else 0.0 for ind in binz.indicators]
+        for row in raw.rows
+    ]
+    assert binz.matrix.dtype == np.float64 and binz.matrix.flags["C_CONTIGUOUS"]
+    assert binz.matrix.shape == (raw.n_instances, len(binz.indicators))
+    assert np.array_equal(binz.matrix, want)
+    for spec in raw.specs:
+        if spec.kind != "binary":
+            cols = [i for i, ind in enumerate(binz.indicators) if ind.source_column == spec.name]
+            assert (binz.matrix[:, cols].sum(axis=1) == 1).all()
+    assert binz.labels.tolist() == [raw.label_values.index(l) for l in raw.labels]
+
+    names, matrix = raw_feature_matrix(raw)
+    want_names, want_cols = [], []
+    for spec, values in zip(raw.specs, zip(*raw.rows)):
+        levels = sorted(set(values)) if spec.kind == "categorical" else [None]
+        for level in levels:
+            want_names.append(spec.name if level is None else f"{spec.name}={level}")
+            want_cols.append([float(v) if level is None else float(v == level) for v in values])
+    assert names == tuple(want_names)
+    assert matrix.dtype == np.float64 and matrix.flags["C_CONTIGUOUS"]
+    assert np.array_equal(matrix, np.array(want_cols).T)
+
+
 def test_fit_indices_restrict_threshold_estimation(tmp_path):
     rows = [(v, "a" if v < 50 else "b") for v in [1, 2, 3, 4, 100, 200, 300, 400]]
     raw = raw_from_table(tmp_path, ["x", "y"], rows, NUM_SCHEMA)
@@ -223,6 +294,14 @@ def test_load_csv_rejects_non_numeric_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\noops,a\n")
     with pytest.raises(ParseError, match="line 2.*not numeric"):
+        load_csv(path, NUM_SCHEMA)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+def test_load_csv_rejects_non_finite_numbers(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y\n1,a\n{cell},b\n")
+    with pytest.raises(ParseError, match=f"line 3: column 'x': '{cell}' is not a finite number"):
         load_csv(path, NUM_SCHEMA)
 
 
@@ -301,6 +380,15 @@ def test_schema_rejects_defects():
         make_schema({"y": {"kind": "numeric"}})
     with pytest.raises(SchemaError, match="label_values"):
         make_schema({"a": {"kind": "numeric"}}, label_values=["only"])
+
+
+@pytest.mark.parametrize("threshold", ["NaN", "Infinity", "1" + "0" * 400])
+def test_schema_rejects_non_finite_threshold(tmp_path, threshold):
+    column = f'{{"kind": "numeric", "thresholds": [{threshold}, 3]}}'
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"label": "y", "columns": {{"a": {column}}}}}')
+    with pytest.raises(SchemaError, match="column 'a': 'thresholds' must be finite"):
+        load_schema(path)
 
 
 def test_schema_rejects_invalid_json(tmp_path):
