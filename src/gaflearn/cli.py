@@ -1,7 +1,7 @@
 """Command-line interface: experiments, baselines, export, semantics runs.
 
-Exit codes: 0 success, 1 runtime failure (such as a diverged training),
-2 configuration or usage error.
+Exit codes: 0 success, 1 runtime failure (such as a diverged training or an
+interrupt), 2 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .experiment import (
 )
 from .graph import strength_trajectory
 from .model_io import from_json, to_dot, to_json
+from .util import write_text_atomic
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -152,7 +153,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text_atomic(out, text)
 
 
 def _cmd_export(args) -> int:
@@ -200,11 +201,11 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GafError as exc:
+    except (GafError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

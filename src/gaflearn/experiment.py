@@ -31,7 +31,7 @@ from .ga import GaConfig, GenerationStats, evolve
 from .graph import prune_inert_edges
 from .model_io import to_json
 from .train import MaskedNet, TrainConfig, to_classifier
-from .util import derive_seed
+from .util import derive_seed, write_text_atomic
 
 SUMMARY_COLUMNS = (
     "run",
@@ -300,13 +300,13 @@ def _summary_lines(records: Sequence[RunRecord]) -> list[str]:
 
 
 def write_summary_csv(path: Path, records: Sequence[RunRecord]) -> None:
-    path.write_text("\n".join(_summary_lines(records)) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(_summary_lines(records)) + "\n")
 
 
 def write_timings_csv(path: Path, records: Sequence[RunRecord]) -> None:
     lines = ["run,wall_seconds"]
     lines.extend(f"{r.run},{r.wall_seconds:.3f}" for r in records)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_generations_csv(path: Path, log: Sequence[GenerationStats]) -> None:
@@ -316,14 +316,13 @@ def write_generations_csv(path: Path, log: Sequence[GenerationStats]) -> None:
         f"{s.best_accuracy:.6f},{s.best_connections}"
         for s in log
     )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_resolved_config(config: ExperimentConfig, extra: dict) -> None:
     doc = config.as_dict()
     doc.update(extra)
-    out = config.out_dir / "resolved_config.json"
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(config.out_dir / "resolved_config.json", json.dumps(doc, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -484,7 +483,7 @@ def run_training_experiment(
                 "generations_run": generations_run,
                 "epochs_run": best.result.epochs_run,
             }
-            (run_dir / "model.json").write_text(to_json(gaf, metadata), encoding="utf-8")
+            write_text_atomic(run_dir / "model.json", to_json(gaf, metadata))
             write_generations_csv(run_dir / "generations.csv", log)
 
         # score the exported artifact itself, not the raw training state
@@ -533,7 +532,7 @@ def run_baseline_experiment(
         }
 
         def save(run_dir: Path, _metrics: Metrics) -> None:
-            (run_dir / "model.json").write_text(to_json(gaf, metadata), encoding="utf-8")
+            write_text_atomic(run_dir / "model.json", to_json(gaf, metadata))
 
         n_connections = gaf.connection_count()
         return _Fitted(

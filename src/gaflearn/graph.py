@@ -280,11 +280,14 @@ def layer_preactivation(
     strength trajectory) aggregates through this one function. A stack of
     P nets has (P, ...) weights, biases and strengths; inputs may be shared.
     """
-    z = np.empty(bias.shape[:-1] + strengths[0].shape[-2:-1] + bias.shape[-1:])
-    z[:] = bias[..., None, :]
+    z = None
     for (src, dst, _), w in zip(blocks, weights):
-        if dst == t:
-            z += strengths[src] @ w
+        if dst == t:  # add into the fresh product: p + bias is bias + p exactly
+            p = strengths[src] @ w
+            z = np.add(p, bias[..., None, :] if z is None else z, out=p)
+    if z is None:  # no incoming block: the base scores alone
+        z = np.empty(bias.shape[:-1] + strengths[0].shape[-2:-1] + bias.shape[-1:])
+        z[:] = bias[..., None, :]
     return z
 
 
@@ -310,7 +313,7 @@ def forward_pass(
     for t in range(1, n_layers):
         z = layer_preactivation(strengths, structure.blocks, weights, biases[t - 1], t)
         if t < n_layers - 1:
-            strengths.append(expit(z))
+            strengths.append(expit(z, out=z))
     return strengths, z
 
 

@@ -45,7 +45,8 @@ def _expect(doc: dict, key: str, kind, context: str):
     if key not in doc:
         raise ModelFormatError(f"{context}: missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true/false parse as bool, an int subclass, and no key here takes one
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ModelFormatError(f"{context}: {key!r} has type {type(value).__name__}")
     return value
 
@@ -62,7 +63,7 @@ def from_json(text: str) -> tuple[LayeredGaf, dict]:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format {version!r}, expected {FORMAT_VERSION!r}")
     layer_sizes = _expect(doc, "layer_sizes", list, "document")
-    if not all(isinstance(s, int) and s > 0 for s in layer_sizes):
+    if not all(type(s) is int and s > 0 for s in layer_sizes):
         raise ModelFormatError("layer_sizes must be positive integers")
     class_labels = _expect(doc, "class_labels", list, "document")
     if not all(isinstance(c, str) for c in class_labels):
@@ -82,8 +83,6 @@ def from_json(text: str) -> tuple[LayeredGaf, dict]:
         name = _expect(entry, "name", str, ctx)
         layer = _expect(entry, "layer", int, ctx)
         score = _expect(entry, "base_score", (int, float), ctx)
-        if isinstance(score, bool):
-            raise ModelFormatError(f"{ctx}: base_score has type bool")
         if not 0 <= layer < len(layer_sizes):
             raise ModelFormatError(f"{ctx}: layer {layer} out of range")
         layers[layer].append(Argument(id=arg_id, name=name, layer_index=layer, base_score=float(score)))
@@ -101,8 +100,6 @@ def from_json(text: str) -> tuple[LayeredGaf, dict]:
         source = _expect(entry, "source", str, ctx)
         target = _expect(entry, "target", str, ctx)
         weight = _expect(entry, "weight", (int, float), ctx)
-        if isinstance(weight, bool):
-            raise ModelFormatError(f"{ctx}: weight has type bool")
         edges.append(WeightedEdge(source=source, target=target, weight=float(weight)))
 
     try:

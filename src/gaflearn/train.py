@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, GafError, InputShapeError
 from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass
-from .util import log_sum_exp, softmax_rows
+from .util import log_sum_exp, log_sum_exp_and_softmax, softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -114,24 +114,26 @@ def accuracy(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(net.predict(x) == np.asarray(y)))
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+def _cross_entropy(z: np.ndarray, y: np.ndarray, lse: np.ndarray) -> float | np.ndarray:
     """Mean cross-entropy of output pre-activations: a float, or one per stacked net.
 
-    ``y`` holds a class per row, shared by a stack's nets or one row per net.
+    ``lse`` is ``log_sum_exp(z)``. ``y`` holds a class per row, shared by a
+    stack's nets or one row per net.
     """
     y = np.asarray(y, dtype=np.int64)
     if y.shape not in (z.shape[-2:-1], z.shape[:-1]) or (y < 0).any() or (y >= z.shape[-1]).any():
         raise InputShapeError("labels must be class indices matching the batch")
     labels = y.reshape((1,) * (z.ndim - 1 - y.ndim) + y.shape + (1,))
     picked = np.take_along_axis(z, labels, axis=-1)[..., 0]
-    loss = np.mean(log_sum_exp(z) - picked, axis=-1)
+    loss = np.mean(lse - picked, axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
 
 def forward_loss(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and per-instance class distributions."""
     _, z = net.forward(x)
-    return _cross_entropy(z, y), softmax_rows(z)
+    lse, probs = log_sum_exp_and_softmax(z)
+    return _cross_entropy(z, y, lse), probs
 
 
 def gradients(
@@ -143,9 +145,10 @@ def gradients(
     Gradient entries at masked-out positions are exactly zero.
     """
     activations, z = net.forward(x)
-    loss = _cross_entropy(z, y)
-    one_hot = np.asarray(y)[..., None] == np.arange(z.shape[-1])
-    dz = (softmax_rows(z) - one_hot) / z.shape[-2]
+    lse, dz = log_sum_exp_and_softmax(z)
+    loss = _cross_entropy(z, y, lse)
+    dz -= np.asarray(y)[..., None] == np.arange(z.shape[-1])  # one-hot labels
+    dz /= z.shape[-2]
 
     n_layers = len(net.structure.layer_sizes)
     d_strength: list[np.ndarray | None] = [None] * n_layers
@@ -153,20 +156,22 @@ def gradients(
     grad_b = [np.zeros_like(b) for b in net.biases]
     for t in range(n_layers - 1, 0, -1):
         if t < n_layers - 1:
-            ds = d_strength[t]
-            if ds is None:
+            dz = d_strength[t]
+            if dz is None:
                 continue  # no path from this layer to the loss
-            s = activations[t]
-            dz = ds * s * (1.0 - s)
+            dz *= activations[t]
+            dz *= 1.0 - activations[t]
         grad_b[t - 1] = dz.sum(axis=-2)
         for bi, ((src, dst, _), w, mask) in enumerate(
             zip(net.structure.blocks, net.weights, net.masks)
         ):
             if dst != t:
                 continue
-            grad_w[bi] = (np.swapaxes(activations[src], -1, -2) @ dz) * mask
-            back = dz @ np.swapaxes(w, -1, -2)
-            d_strength[src] = back if d_strength[src] is None else d_strength[src] + back
+            np.matmul(np.swapaxes(activations[src], -1, -2), dz, out=grad_w[bi])
+            grad_w[bi] *= mask
+            if src > 0:  # nothing reads the gradient of the inputs
+                back = dz @ np.swapaxes(w, -1, -2)
+                d_strength[src] = back if d_strength[src] is None else d_strength[src] + back
     return loss, grad_w, grad_b
 
 
@@ -295,7 +300,7 @@ def train_population(
             adam_step(params, grad_w + grad_b, state, step, config.learning_rate)
         train_loss = batch_losses.mean(axis=1)
         _, z = stack.forward(x_val)  # one pass gives validation loss and accuracy
-        val_loss = _cross_entropy(z, y_val)
+        val_loss = _cross_entropy(z, y_val, log_sum_exp(z))
         val_accuracy = np.mean(np.argmax(z, axis=-1) == y_val, axis=-1)
 
         finite = np.isfinite(train_loss) & np.isfinite(val_loss)

@@ -1,8 +1,11 @@
-"""Small shared helpers: seed derivation and numerically safe primitives."""
+"""Small shared helpers: seed derivation, atomic file writes and numerically
+safe primitives."""
 
 from __future__ import annotations
 
 import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, logit  # noqa: F401  (re-exported)
@@ -18,6 +21,41 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "little")
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8, all of it or nothing.
+
+    The text goes to a temporary file beside path, which ``os.replace`` then
+    puts in its place, so a failed or interrupted write leaves any old file
+    whole and no temporary file behind. The bytes are those of
+    ``Path.write_text(text, encoding="utf-8")``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z's last-axis max (keepdims) and ``exp(z - max)``. The max takes one
+    np.maximum per column, as numpy reduces a short last axis row by row; a max
+    is exact in any order, NaN propagates either way, and a 0.0/-0.0 tie
+    changes no later value."""
+    z_max = z[..., :1]
+    for j in range(1, z.shape[-1]):  # one new array, then in place
+        z_max = np.maximum(z_max, z[..., j : j + 1], out=None if j == 1 else z_max)
+    return z_max, np.exp(z - z_max)
+
+
+def _normalized(e: np.ndarray) -> np.ndarray:
+    """The softmax from ``e = exp(z - max)``: e over its last-axis sums, in place."""
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis that tolerates +/-inf entries.
 
@@ -25,23 +63,11 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     uniformly if several; a row of only -inf degenerates to uniform.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if np.isinf(z).any():
-        out = np.empty_like(z)
-        for i in np.ndindex(z.shape[:-1]):
-            row = z[i]
-            pos = np.isposinf(row)
-            if pos.any():
-                out[i] = pos / pos.sum()
-            elif np.isneginf(row).all():
-                out[i] = 1.0 / row.size
-            else:
-                shifted = row - row[np.isfinite(row)].max()
-                e = np.where(np.isneginf(shifted), 0.0, np.exp(shifted))
-                out[i] = e / e.sum()
-        return out
-    zmax = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - zmax)
-    return e / e.sum(axis=-1, keepdims=True)
+    if np.isinf(z).any():  # +inf entries become 0, the rest -inf; rows of only -inf, 0
+        pos = np.isposinf(z)
+        z = np.where(pos.any(axis=-1, keepdims=True), np.where(pos, 0.0, -np.inf), z)
+        z = np.where(np.isneginf(z).all(axis=-1, keepdims=True), 0.0, z)
+    return _normalized(_shifted_exp(z)[1])
 
 
 def log_sum_exp(z: np.ndarray) -> np.ndarray:
@@ -49,13 +75,28 @@ def log_sum_exp(z: np.ndarray) -> np.ndarray:
     log1p(sum of exp(z - max) over the non-max terms / m) + log(m) + max,
     for m tied maxima, and the direct form wherever that is not finite.
     """
-    z_max = z.max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _log_sum_exp(z, *_shifted_exp(z))
+
+
+def _log_sum_exp(z: np.ndarray, z_max: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """:func:`log_sum_exp` from z's last-axis max and ``e = exp(z - z_max)``."""
     is_max = z == z_max
     m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(is_max, -np.inf, z) - z_max).sum(axis=-1, keepdims=True)
-        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + z_max)[..., 0]
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(z).sum(axis=-1)))
+    # e's non-max terms are scipy's exp(where(is_max, -inf, z) - max) bit for
+    # bit; only rows of only -inf differ (0 here, NaN there), and both of
+    # those end in the direct form
+    s = np.where(is_max, 0.0, e).sum(axis=-1, keepdims=True)
+    out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + z_max)[..., 0]
+    finite = np.isfinite(out)
+    if not finite.all():
+        out = np.where(finite, out, np.log(np.exp(z).sum(axis=-1)))
     return out
+
+
+def log_sum_exp_and_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`log_sum_exp` and :func:`softmax_rows` of z, from one max and one exp."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z_max, e = _shifted_exp(z)
+        lse = _log_sum_exp(z, z_max, e)
+    return lse, softmax_rows(z) if np.isinf(z).any() else _normalized(e)

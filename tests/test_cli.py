@@ -47,6 +47,18 @@ def test_diverged_training_exits_1_with_one_line(tmp_path, capsys):
     assert "diverged at epoch" in lines[0]
 
 
+def test_interrupt_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def interrupted(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("gaflearn.experiment.evolve", interrupted)
+    write_toy_dataset(tmp_path)
+    cfg = write_toy_config(tmp_path)
+    assert run_cli("train", "--config", cfg, "--runs", "1", "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

@@ -427,6 +427,26 @@ def test_split_parts_are_disjoint_sorted_and_cover():
     assert list(split.test) == sorted(split.test)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    st.lists(st.integers(3, 40), min_size=2, max_size=6).filter(lambda sizes: sum(sizes) >= 10),
+    st.integers(0, 2**64 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_split_partitions_every_class_by_rounded_shares(class_sizes, seed, shuffler):
+    labels = [c for c, n_c in enumerate(class_sizes) for _ in range(n_c)]
+    shuffler.shuffle(labels)
+    labels = np.array(labels)
+    split = split_stratified(len(labels), labels, seed=seed)
+    parts = (split.train, split.validation, split.test)
+    for part in parts:
+        assert list(part) == sorted(set(part))
+    assert sorted(split.train + split.validation + split.test) == list(range(len(labels)))
+    for c, n_c in enumerate(class_sizes):
+        counts = [int((labels[list(part)] == c).sum()) for part in parts]
+        assert counts == [round(0.7 * n_c), round(0.1 * n_c), n_c - counts[0] - counts[1]]
+
+
 def test_split_class_proportions_close_to_global():
     rng = np.random.default_rng(2)
     labels = np.concatenate([np.zeros(300, int), np.ones(150, int), np.full(50, 2)])

@@ -14,6 +14,7 @@ from gaflearn.experiment import (
     run_training_experiment,
 )
 from gaflearn.model_io import from_json
+from gaflearn.util import write_text_atomic
 
 TOY_GA = {
     "population_size": 4,
@@ -181,6 +182,26 @@ def test_summary_is_byte_identical_across_repeats(tmp_path):
     model_a = (tmp_path / "a" / "run_00" / "model.json").read_bytes()
     model_b = (tmp_path / "b" / "run_00" / "model.json").read_bytes()
     assert model_a == model_b
+
+
+def test_atomic_write_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "summary.csv"
+    write_text_atomic(path, "old\n")
+
+    def refuse(*_args):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:  # fails after the new text is on disk
+        m.setattr("gaflearn.util.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write_text_atomic(path, "new\n")
+    with pytest.raises(UnicodeEncodeError):  # fails once the temporary file is open
+        write_text_atomic(path, "x" * 65536 + "\ud800")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+    write_text_atomic(path, "new,\u00e9\n")
+    assert path.read_bytes() == "new,\u00e9\n".encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 def test_single_run_std_row_is_zero(tmp_path):

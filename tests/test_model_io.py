@@ -106,6 +106,28 @@ def test_schema_violations_are_rejected():
         from_json(json.dumps(short_layer))
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("layer_sizes", 0),
+        ("arguments", 0, "layer"),
+        ("arguments", 4, "layer"),
+        ("arguments", 0, "base_score"),
+        ("edges", 0, "weight"),
+    ],
+)
+def test_json_booleans_are_not_numbers(path):
+    # bool is an int subclass: true would otherwise load as layer 1, or 1.0
+    doc = json.loads(to_json(sample_gaf()))
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = True
+    with pytest.raises(ModelFormatError, match="bool|positive integers"):
+        from_json(json.dumps(doc))
+
+
 def test_invalid_graph_content_is_rejected():
     doc = json.loads(to_json(sample_gaf()))
     doc["arguments"][1]["id"] = doc["arguments"][0]["id"]

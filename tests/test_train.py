@@ -22,7 +22,7 @@ from gaflearn.train import (
     train,
     train_population,
 )
-from gaflearn.util import log_sum_exp
+from gaflearn.util import log_sum_exp, log_sum_exp_and_softmax, softmax_rows
 
 
 def zero_net(layer_sizes):
@@ -187,25 +187,76 @@ def test_stacked_gradients_match_each_slice_and_finite_differences():
         assert worst < 1e-4
 
 
-def test_log_sum_exp_equals_scipy_bit_for_bit():
-    rng = np.random.default_rng(11)
-    for trial in range(3000):
-        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        kind = trial % 3
+def class_axis_cases(seed, trials, stacked=False):
+    """Matrices with 1-12 classes, or stacks of them: random magnitudes, ties,
+    +/-inf and NaN rows."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        # from width 8 on, numpy sums the class axis pairwise
+        lead = (int(rng.integers(1, 4)),) if stacked else ()
+        shape = lead + (int(rng.integers(1, 6)), int(rng.integers(1, 13)))
+        kind = trial % 4
         if kind == 0:  # random, from tiny to huge magnitudes
             z = rng.normal(size=shape) * 10.0 ** float(rng.integers(-300, 308))
         elif kind == 1:  # many tied maxima
             z = rng.integers(-2, 3, size=shape).astype(np.float64)
-        else:  # +/-inf entries, including rows of only -inf
+        elif kind == 2:  # +/-inf entries, including rows of only -inf
             z = rng.normal(0.0, 3.0, size=shape)
             u = rng.uniform(size=shape)
             z[u < 0.25] = -np.inf
             z[u > 0.85] = np.inf
-            z[int(rng.integers(shape[0]))] = -np.inf
-        expected = logsumexp(z, axis=1)
-        got = log_sum_exp(z)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes(), z
+            z[..., int(rng.integers(shape[-2])), :] = -np.inf
+        else:  # NaN entries, including rows of only NaN
+            z = rng.normal(0.0, 3.0, size=shape)
+            z[rng.uniform(size=shape) < 0.3] = np.nan
+            z[..., int(rng.integers(shape[-2])), :] = np.nan
+        yield z
+
+
+def same_floats(got, expected):
+    """Equal shapes, NaN in the same places, and equal bytes everywhere else."""
+    nan = np.isnan(expected)
+    return (
+        got.shape == expected.shape
+        and np.array_equal(np.isnan(got), nan)
+        and got[~nan].tobytes() == expected[~nan].tobytes()
+    )
+
+
+def test_log_sum_exp_equals_scipy_bit_for_bit():
+    with np.errstate(invalid="ignore"):
+        for z in class_axis_cases(11, 4000):
+            assert same_floats(log_sum_exp(z), logsumexp(z, axis=1)), z
+
+
+def reference_softmax(z):
+    """The former softmax_rows: a row loop where z holds +/-inf, else inline."""
+    if not np.isinf(z).any():
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    out = np.empty_like(z)
+    for i in np.ndindex(z.shape[:-1]):
+        row = z[i]
+        pos = np.isposinf(row)
+        if pos.any():
+            out[i] = pos / pos.sum()
+        elif np.isneginf(row).all():
+            out[i] = 1.0 / row.size
+        else:
+            shifted = row - row[np.isfinite(row)].max()
+            e = np.where(np.isneginf(shifted), 0.0, np.exp(shifted))
+            out[i] = e / e.sum()
+    return out
+
+
+def test_shared_loss_and_softmax_equal_the_separate_formulas():
+    with np.errstate(invalid="ignore", over="ignore"):
+        for z in [*class_axis_cases(12, 2000), *class_axis_cases(13, 1000, stacked=True)]:
+            lse, probs = log_sum_exp_and_softmax(z)
+            assert same_floats(lse, logsumexp(z, axis=-1)), z
+            expected = reference_softmax(z)
+            assert same_floats(probs, expected), z
+            assert same_floats(softmax_rows(z), expected), z
 
 
 def test_adam_first_step_moves_by_learning_rate():
