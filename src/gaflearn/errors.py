@@ -30,7 +30,7 @@ class ConfigError(GafError):
 
 
 class CodecError(GafError):
-    """Chromosome bits do not match the declared layer sizes."""
+    """A genome's bit row is not a 0/1 row of the length its layer sizes need."""
 
 
 class ModelFormatError(GafError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -56,20 +56,15 @@ _TOP_KEYS = {
     "ga",
     "train",
 }
-_GA_KEYS = {
-    "population_size",
-    "generations",
-    "crossover_rate",
-    "mutation_rate",
-    "elitist_fraction",
-    "lambda",
-    "n_conn_init",
-    "q",
-    "k",
-    "ga_patience",
-    "ga_tolerance",
-}
-_TRAIN_KEYS = {"learning_rate", "max_epochs", "es_patience", "es_tolerance", "batch_size"}
+
+
+def _section_keys(cls: type) -> dict[str, str]:
+    """Config-file key -> field name for a GaConfig or TrainConfig section.
+
+    A field's ``key`` metadata renames it (``lam`` is ``"lambda"``); the
+    seed comes from the top level, so no section sets it.
+    """
+    return {f.metadata.get("key", f.name): f.name for f in fields(cls) if f.name != "seed"}
 
 
 @dataclass(frozen=True)
@@ -85,19 +80,21 @@ class ExperimentConfig:
     bin_fit: str  # "train" fits numeric thresholds per run, "all" on every row
     hidden_layers: tuple[int, ...]
     tree_features: str  # "binarized" or "raw"
-    ga_args: dict
-    train_args: dict
+    ga: GaConfig  # seed 0; ga_config(seed) gives a run's
+    train: TrainConfig  # seed 0; train_config(seed) gives a run's
 
     def ga_config(self, seed: int) -> GaConfig:
-        return GaConfig(seed=seed, **self.ga_args)
+        return replace(self.ga, seed=seed)
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(seed=seed, **self.train_args)
+        return replace(self.train, seed=seed)
 
     def as_dict(self) -> dict:
-        ga = dict(self.ga_args)
-        ga["lambda"] = ga.pop("lam")
-        ga["n_conn_init"] = list(ga["n_conn_init"])
+        """Every setting, defaults included, under its config-file key."""
+
+        def section(config) -> dict:
+            return {key: getattr(config, name) for key, name in _section_keys(type(config)).items()}
+
         return {
             "dataset": str(self.dataset_path),
             "schema": str(self.schema_path),
@@ -108,8 +105,8 @@ class ExperimentConfig:
             "bin_fit": self.bin_fit,
             "hidden_layers": list(self.hidden_layers),
             "tree_features": self.tree_features,
-            "ga": ga,
-            "train": dict(self.train_args),
+            "ga": section(self.ga),
+            "train": section(self.train),
         }
 
 
@@ -131,6 +128,23 @@ def _as_str(value, name: str, path: Path) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: {name} must be a non-empty string, got {value!r}")
     return value
+
+
+def _section(doc: dict, name: str, cls: type, path: Path, overrides: dict):
+    """Build the ``ga`` or ``train`` section's dataclass, which checks types and ranges."""
+    section = _require(doc, name, path)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: {name!r} must be an object")
+    keys = _section_keys(cls)
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown {name} keys {unknown}")
+    args = {keys[key]: value for key, value in section.items()}
+    args.update(overrides)
+    try:
+        return cls(**args)
+    except (ConfigError, TypeError) as exc:  # TypeError: a required key is missing
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_experiment_config(
@@ -207,25 +221,7 @@ def load_experiment_config(
             f"{path}: tree_features must be 'binarized' or 'raw', got {tree_feats!r}"
         )
 
-    ga_doc = _require(doc, "ga", path)
-    if not isinstance(ga_doc, dict):
-        raise ConfigError(f"{path}: 'ga' must be an object")
-    unknown = sorted(set(ga_doc) - _GA_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown ga keys {unknown}")
-    ga_args = {("lam" if k == "lambda" else k): v for k, v in ga_doc.items()}
-    if lam is not None:
-        ga_args["lam"] = lam
-
-    train_doc = _require(doc, "train", path)
-    if not isinstance(train_doc, dict):
-        raise ConfigError(f"{path}: 'train' must be an object")
-    unknown = sorted(set(train_doc) - _TRAIN_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown train keys {unknown}")
-    train_args = dict(train_doc)
-
-    config = ExperimentConfig(
+    return ExperimentConfig(
         dataset_path=dataset_path,
         schema_path=schema_path,
         out_dir=out_dir,
@@ -235,18 +231,9 @@ def load_experiment_config(
         bin_fit=fit_val,
         hidden_layers=hidden,
         tree_features=tree_feats,
-        ga_args=ga_args,
-        train_args=train_args,
+        ga=_section(doc, "ga", GaConfig, path, {} if lam is None else {"lam": lam}),
+        train=_section(doc, "train", TrainConfig, path, {}),
     )
-    # constructing the dataclasses validates hyperparameter types and ranges
-    try:
-        config.ga_config(0)
-        config.train_config(0)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return config
 
 
 @dataclass(frozen=True)

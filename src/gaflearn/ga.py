@@ -1,10 +1,11 @@
 """Genetic search over classifier graph structures.
 
-Chromosomes are bit strings over adjacent layer pairs: bit
+A genome is a uint8 row of 0/1 bits over adjacent layer pairs: bit
 offset(i) + a*s_{i+1} + b switches the edge from argument a of layer i to
-argument b of layer i+1. Each individual is evaluated by training its
-weights (training module) and scoring a convex combination of train
-accuracy and sparsity: f = (1-lambda)*accuracy + lambda*(N_poss-N_conn)/N_poss.
+argument b of layer i+1, and :func:`decode` reads a row against the run's
+layer sizes. Each individual is evaluated by training its weights
+(training module) and scoring a convex combination of train accuracy and
+sparsity: f = (1-lambda)*accuracy + lambda*(N_poss-N_conn)/N_poss.
 Selection is q-tournament, recombination k-point crossover, mutation
 per-bit flips, replacement elitist. Everything is deterministic under the
 config seed; each generation's structures train together as one stack.
@@ -13,7 +14,7 @@ config seed; each generation's structures train together as one stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -21,52 +22,30 @@ import numpy as np
 from .errors import CodecError, ConfigError, GafError, InputShapeError
 from .graph import GafStructure
 from .train import TrainConfig, TrainResult, accuracy as net_accuracy, train_population
-from .util import derive_seed
+from .util import check_field_types, derive_seed
 
 
 def chromosome_length(layer_sizes: Sequence[int]) -> int:
     return sum(layer_sizes[i] * layer_sizes[i + 1] for i in range(len(layer_sizes) - 1))
 
 
-@dataclass(eq=False)
-class Chromosome:
-    bits: np.ndarray  # uint8 vector of 0/1
-    layer_sizes: tuple[int, ...]
+def decode(bits: np.ndarray, layer_sizes: Sequence[int]) -> GafStructure:
+    """Bits to connection masks, row-major per adjacent layer pair.
 
-    def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        want = chromosome_length(self.layer_sizes)
-        if self.bits.ndim != 1 or self.bits.shape[0] != want:
-            raise CodecError(
-                f"chromosome for layers {self.layer_sizes} needs {want} bits, "
-                f"got shape {self.bits.shape}"
-            )
-        if ((self.bits != 0) & (self.bits != 1)).any():
-            raise CodecError("chromosome bits must be 0 or 1")
-
-    @property
-    def length(self) -> int:
-        return int(self.bits.shape[0])
-
-    def n_connections(self) -> int:
-        return int(self.bits.sum())
-
-    def key(self) -> bytes:
-        return self.bits.tobytes()
-
-    def copy(self) -> "Chromosome":
-        return Chromosome(self.bits.copy(), self.layer_sizes)
-
-
-def decode(chromosome: Chromosome) -> GafStructure:
-    """Bits to connection masks, row-major per adjacent layer pair."""
-    sizes = chromosome.layer_sizes
+    A row that is not chromosome_length(layer_sizes) 0/1 bits raises CodecError.
+    """
+    bits = np.asarray(bits)
+    sizes = tuple(int(s) for s in layer_sizes)
+    want = chromosome_length(sizes)
+    if bits.ndim != 1 or bits.shape[0] != want:
+        raise CodecError(f"layers {sizes} need {want} bits, got shape {bits.shape}")
+    if ((bits != 0) & (bits != 1)).any():
+        raise CodecError("bits must be 0 or 1")
     blocks = []
     offset = 0
     for i in range(len(sizes) - 1):
         n = sizes[i] * sizes[i + 1]
-        mask = chromosome.bits[offset : offset + n].reshape(sizes[i], sizes[i + 1]) != 0
+        mask = bits[offset : offset + n].reshape(sizes[i], sizes[i + 1]) != 0
         blocks.append((i, i + 1, mask))
         offset += n
     return GafStructure(sizes, tuple(blocks))
@@ -92,7 +71,7 @@ class GaConfig:
     crossover_rate: float
     mutation_rate: float
     elitist_fraction: float
-    lam: float
+    lam: float = field(metadata={"key": "lambda"})
     n_conn_init: tuple[int, ...]
     q: int = 3
     k: int = 2
@@ -101,13 +80,17 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_conn_init", tuple(int(c) for c in self.n_conn_init))
+        check_field_types(self)
+        object.__setattr__(self, "n_conn_init", tuple(self.n_conn_init))
         if self.population_size < 2:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
-        for name in ("crossover_rate", "mutation_rate", "lam"):
-            v = getattr(self, name)
+        for name, v in (
+            ("crossover_rate", self.crossover_rate),
+            ("mutation_rate", self.mutation_rate),
+            ("lambda", self.lam),
+        ):
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {v}")
         if not 0.0 <= self.elitist_fraction < 1.0:
@@ -128,7 +111,7 @@ class GaConfig:
 
 @dataclass
 class EvaluatedIndividual:
-    chromosome: Chromosome
+    bits: np.ndarray  # uint8 row of 0/1, see decode
     fitness: float
     train_accuracy: float
     n_connections: int
@@ -147,8 +130,8 @@ class GenerationStats:
 
 def init_population(
     config: GaConfig, layer_sizes: Sequence[int], rng: np.random.Generator | None = None
-) -> list[Chromosome]:
-    """N chromosomes with exactly n_conn_init[i] ones per layer-pair block."""
+) -> list[np.ndarray]:
+    """N bit rows with exactly n_conn_init[i] ones per layer-pair block."""
     sizes = tuple(int(s) for s in layer_sizes)
     n_blocks = len(sizes) - 1
     if len(config.n_conn_init) != n_blocks:
@@ -168,7 +151,7 @@ def init_population(
             block = np.zeros(cap, dtype=np.uint8)
             block[rng.choice(cap, size=count, replace=False)] = 1
             parts.append(block)
-        population.append(Chromosome(np.concatenate(parts), sizes))
+        population.append(np.concatenate(parts))
     return population
 
 
@@ -203,39 +186,36 @@ def exchange_segments(
 
 
 def k_point_crossover(
-    parent1: Chromosome,
-    parent2: Chromosome,
+    parent1: np.ndarray,
+    parent2: np.ndarray,
     k: int,
     rng: np.random.Generator,
     crossover_rate: float = 1.0,
-) -> tuple[Chromosome, Chromosome]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Children alternate parent segments cut at k distinct points.
 
     The gate uniform is always drawn, so the random stream advances the
     same way whatever the rate. With probability 1 - crossover_rate the
     children are plain copies.
     """
-    if parent1.layer_sizes != parent2.layer_sizes:
-        raise CodecError("parents must share layer sizes")
-    length = parent1.length
+    if parent1.shape != parent2.shape:
+        raise CodecError(f"parents have shapes {parent1.shape} and {parent2.shape}")
+    length = parent1.shape[0]
     if not 1 <= k < length:
         raise ConfigError(f"k must lie in [1, {length - 1}], got {k}")
     gate = rng.uniform()
     if gate >= crossover_rate:
         return parent1.copy(), parent2.copy()
     points = rng.choice(np.arange(1, length), size=k, replace=False)
-    c1, c2 = exchange_segments(parent1.bits, parent2.bits, points.tolist())
-    return Chromosome(c1, parent1.layer_sizes), Chromosome(c2, parent2.layer_sizes)
+    return exchange_segments(parent1, parent2, points.tolist())
 
 
-def flip_mutate(
-    chromosome: Chromosome, mutation_rate: float, rng: np.random.Generator
-) -> Chromosome:
+def flip_mutate(bits: np.ndarray, mutation_rate: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with the given probability."""
     if not 0.0 <= mutation_rate <= 1.0:
         raise ConfigError(f"mutation_rate must lie in [0,1], got {mutation_rate}")
-    flips = rng.uniform(size=chromosome.length) < mutation_rate
-    return Chromosome(chromosome.bits ^ flips.astype(np.uint8), chromosome.layer_sizes)
+    flips = rng.uniform(size=bits.shape[0]) < mutation_rate
+    return bits ^ flips.astype(np.uint8)
 
 
 def elitist_replace(
@@ -258,9 +238,9 @@ def elitist_replace(
 
 @dataclass
 class _Evaluator:
-    """Trains a generation's unique chromosomes once each, together.
+    """Trains a generation's unique bit rows once each, together.
 
-    Duplicate chromosomes within a generation reuse the first occurrence's
+    Duplicate rows within a generation reuse the first occurrence's
     trained result (and therefore its derived seed), so evaluation cost
     scales with structural diversity. Each seed comes from the generation
     and the first occurrence's index, and a stacked training equals a lone
@@ -268,16 +248,17 @@ class _Evaluator:
     """
 
     data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y train; x, y val
+    layer_sizes: tuple[int, ...]
     master_seed: int
     lam: float
     train_config: TrainConfig
 
-    def evaluate(self, chromosomes: list[Chromosome], generation: int) -> list[EvaluatedIndividual]:
+    def evaluate(self, rows: list[np.ndarray], generation: int) -> list[EvaluatedIndividual]:
         first_index: dict[bytes, int] = {}
-        for i, c in enumerate(chromosomes):
-            first_index.setdefault(c.key(), i)
+        for i, bits in enumerate(rows):
+            first_index.setdefault(bits.tobytes(), i)
         results = train_population(
-            [decode(chromosomes[i]) for i in first_index.values()],
+            [decode(rows[i], self.layer_sizes) for i in first_index.values()],
             *self.data,
             self.train_config,
             [derive_seed(self.master_seed, generation, i) for i in first_index.values()],
@@ -286,16 +267,16 @@ class _Evaluator:
         outcomes = dict(zip(first_index, zip(accuracies, results)))
 
         population = []
-        for c in chromosomes:
-            acc, result = outcomes[c.key()]
-            n_conn = c.n_connections()
+        for bits in rows:
+            acc, result = outcomes[bits.tobytes()]
+            n_conn = int(bits.sum())
             population.append(
                 EvaluatedIndividual(
-                    chromosome=c,
-                    fitness=fitness(acc, n_conn, c.length, self.lam),
+                    bits=bits,
+                    fitness=fitness(acc, n_conn, len(bits), self.lam),
                     train_accuracy=acc,
                     n_connections=n_conn,
-                    n_possible=c.length,
+                    n_possible=len(bits),
                     result=result,
                 )
             )
@@ -322,10 +303,9 @@ def evolve(
     sizes = tuple(int(s) for s in layer_sizes)
     rng = np.random.default_rng(derive_seed(ga_config.seed, "ga"))
     evaluator = _Evaluator(
-        (x_train, y_train, x_val, y_val), ga_config.seed, ga_config.lam, train_config
+        (x_train, y_train, x_val, y_val), sizes, ga_config.seed, ga_config.lam, train_config
     )
-    chromosomes = init_population(ga_config, sizes, rng)
-    population = _with_context(evaluator, chromosomes, 0)
+    population = _with_context(evaluator, init_population(ga_config, sizes, rng), 0)
     log = [_stats(population, 0)]
     best = _population_best(population)
     prev_best = log[0].best_fitness
@@ -336,18 +316,18 @@ def evolve(
     n_offspring = n - n_elites
     for generation in range(1, ga_config.generations + 1):
         pool = [tournament_select(population, ga_config.q, rng) for _ in range(n_offspring)]
-        children: list[Chromosome] = []
+        children: list[np.ndarray] = []
         for i in range(0, n_offspring - 1, 2):
             c1, c2 = k_point_crossover(
-                pool[i].chromosome,
-                pool[i + 1].chromosome,
+                pool[i].bits,
+                pool[i + 1].bits,
                 ga_config.k,
                 rng,
                 ga_config.crossover_rate,
             )
             children.extend((c1, c2))
         if len(children) < n_offspring:  # odd pool: clone the leftover parent
-            children.append(pool[-1].chromosome.copy())
+            children.append(pool[-1].bits.copy())
         children = [flip_mutate(c, ga_config.mutation_rate, rng) for c in children]
         offspring = _with_context(evaluator, children, generation)
         population = elitist_replace(population, offspring, ga_config.elitist_fraction)
@@ -371,10 +351,10 @@ def evolve(
 
 
 def _with_context(
-    evaluator: _Evaluator, chromosomes: list[Chromosome], generation: int
+    evaluator: _Evaluator, rows: list[np.ndarray], generation: int
 ) -> list[EvaluatedIndividual]:
     try:
-        return evaluator.evaluate(chromosomes, generation)
+        return evaluator.evaluate(rows, generation)
     except GafError as exc:
         raise type(exc)(f"generation {generation}: {exc}") from exc
 

@@ -212,28 +212,15 @@ class LayeredGaf:
     def output_arguments(self) -> tuple[Argument, ...]:
         return self._layers[-1]
 
-    def parameters(self) -> tuple[GafStructure, list[np.ndarray], list[np.ndarray]]:
-        """Decompose into (structure, per-block weight matrices, per-layer biases).
-
-        Blocks are in sorted (source, target) layer order. Biases are the
-        log-odds of the base scores of non-input layers (+/-inf for base
-        scores exactly 0 or 1).
-        """
-        structure, weights, biases = self._decomposition()
-        return (
-            GafStructure(
-                structure.layer_sizes,
-                tuple((src, dst, m.copy()) for src, dst, m in structure.blocks),
-            ),
-            [w.copy() for w in weights],
-            [b.copy() for b in biases],
-        )
-
     def connection_count(self) -> int:
         return len(self._edges)
 
     def _decomposition(self) -> tuple[GafStructure, list[np.ndarray], list[np.ndarray]]:
-        """The cached, shared form of :meth:`parameters`; callers must not mutate it."""
+        """(structure, per-block weights, per-layer biases), cached: callers must not mutate it.
+
+        Blocks are in sorted (source, target) layer order. Biases are the
+        log-odds of the non-input base scores (+/-inf at exactly 0 or 1).
+        """
         if self._decomposed is not None:
             return self._decomposed
         index = {
@@ -420,15 +407,14 @@ def build_gaf(
     biases: Sequence[np.ndarray],
     input_names: Sequence[str],
     class_labels: Sequence[str],
-    hidden_name_format: str = "m{layer}_{index}",
 ) -> LayeredGaf:
     """Assemble a named classifier graph from trained parameters.
 
     Biases are log-odds; they become clamped base scores in
     [1e-6, 1 - 1e-6]. Input arguments get the neutral base score 0.5
-    (their strength is always the supplied feature value). Only edges
-    present in the structure are materialized, and only with their
-    trained weights.
+    (their strength is always the supplied feature value); hidden argument
+    i of layer l is named ``m{l}_{i}``. Only edges present in the structure
+    are materialized, and only with their trained weights.
     """
     sizes = structure.layer_sizes
     if len(input_names) != sizes[0]:
@@ -446,7 +432,7 @@ def build_gaf(
                 if li == len(sizes) - 1:
                     name = str(class_labels[ai])
                 else:
-                    name = hidden_name_format.format(layer=li, index=ai)
+                    name = f"m{li}_{ai}"
                 beta = clamp_base_score(float(expit(biases[li - 1][ai])))
             layer.append(Argument(id=f"a{li}_{ai}", name=name, layer_index=li, base_score=beta))
         layers.append(layer)

@@ -18,7 +18,7 @@ from .graph import Argument, LayeredGaf, WeightedEdge
 FORMAT_VERSION = "gaf-model/1"
 
 
-def to_json(gaf: LayeredGaf, metadata: dict | None = None, indent: int | None = 2) -> str:
+def to_json(gaf: LayeredGaf, metadata: dict | None = None) -> str:
     """Serialize a graph (plus free-form metadata) as a versioned document."""
     doc = {
         "format": FORMAT_VERSION,
@@ -38,7 +38,7 @@ def to_json(gaf: LayeredGaf, metadata: dict | None = None, indent: int | None = 
         ],
         "metadata": metadata if metadata is not None else {},
     }
-    return json.dumps(doc, indent=indent, allow_nan=False)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _expect(doc: dict, key: str, kind, context: str):

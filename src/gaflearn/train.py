@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, GafError, InputShapeError
 from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass
-from .util import log_sum_exp, log_sum_exp_and_softmax, softmax_rows
+from .util import check_field_types, log_sum_exp, log_sum_exp_and_softmax, softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -35,6 +35,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_epochs < 1:
@@ -90,8 +91,10 @@ class MaskedNet:
 
     @classmethod
     def from_gaf(cls, gaf: LayeredGaf) -> "MaskedNet":
-        structure, weights, biases = gaf.parameters()
-        return cls(structure, weights, biases)
+        # __init__ copies the weights and biases; copy the graph's cached masks here
+        structure, weights, biases = gaf._decomposition()
+        blocks = tuple((src, dst, m.copy()) for src, dst, m in structure.blocks)
+        return cls(GafStructure(structure.layer_sizes, blocks), weights, biases)
 
     def set_params(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
         self.weights = [w.copy() for w in weights]

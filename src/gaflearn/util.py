@@ -3,12 +3,15 @@ safe primitives."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, logit  # noqa: F401  (re-exported)
+
+from .errors import ConfigError
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -19,6 +22,33 @@ def derive_seed(*parts: int | str) -> int:
     """
     msg = "\x1f".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "little")
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError unless every field of a config dataclass holds its annotated kind.
+
+    An ``int`` field needs an int, a ``float`` field an int or float, and a
+    ``tuple[int, ...]`` field a list or tuple of ints. A bool is none of
+    these, though Python counts it as an int. A field's message names it by
+    its ``key`` metadata when it has one, as the config file does.
+    """
+
+    def holds(value, kinds: tuple[type, ...]) -> bool:
+        return isinstance(value, kinds) and not isinstance(value, bool)
+
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "tuple[int, ...]":
+            ok = isinstance(value, (list, tuple)) and all(holds(v, (int,)) for v in value)
+            want = "a list of integers"
+        elif f.type == "int":
+            ok = holds(value, (int,))
+            want = "an integer"
+        else:  # "float"
+            ok = holds(value, (int, float))
+            want = "a number"
+        if not ok:
+            raise ConfigError(f"{f.metadata.get('key', f.name)} must be {want}, got {value!r}")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

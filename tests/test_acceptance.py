@@ -19,7 +19,6 @@ from gaflearn.experiment import (
     run_training_experiment,
 )
 from gaflearn.ga import (
-    Chromosome,
     GaConfig,
     chromosome_length,
     decode,
@@ -58,7 +57,7 @@ def test_criterion_1_gradient_check():
             int(rng.integers(2, 5)),
         )
         bits = rng.integers(0, 2, size=chromosome_length(sizes), dtype=np.uint8)
-        structure = decode(Chromosome(bits, sizes))
+        structure = decode(bits, sizes)
         weights = [rng.uniform(-2.0, 2.0, size=m.shape) for _, _, m in structure.blocks]
         biases = [rng.uniform(-1.0, 1.0, size=s) for s in sizes[1:]]
         net = MaskedNet(structure, weights, biases)
@@ -188,19 +187,18 @@ def test_criterion_3_ga_operator_properties():
     conserved = True
     for _ in range(10_000):
         length = int(rng.integers(8, 41))
-        sizes = (length, 1)
-        p1 = Chromosome(rng.integers(0, 2, length, dtype=np.uint8), sizes)
-        p2 = Chromosome(rng.integers(0, 2, length, dtype=np.uint8), sizes)
+        p1 = rng.integers(0, 2, length, dtype=np.uint8)
+        p2 = rng.integers(0, 2, length, dtype=np.uint8)
         k = int(rng.integers(1, min(4, length - 1) + 1))
         c1, c2 = k_point_crossover(p1, p2, k, rng, crossover_rate=1.0)
-        if not np.array_equal(c1.bits + c2.bits, p1.bits + p2.bits):
+        if not np.array_equal(c1 + c2, p1 + p2):
             conserved = False
             break
 
     # mutation flip count falls in the binomial 4-sigma band
     n_bits, rate = 100_000, 1e-3
-    zeros = Chromosome(np.zeros(n_bits, dtype=np.uint8), (100, 1000))
-    flips = int(flip_mutate(zeros, rate, rng).bits.sum())
+    zeros = np.zeros(n_bits, dtype=np.uint8)
+    flips = int(flip_mutate(zeros, rate, rng).sum())
     mean, sd = n_bits * rate, math.sqrt(n_bits * rate * (1.0 - rate))
     in_band = mean - 4.0 * sd <= flips <= mean + 4.0 * sd
 

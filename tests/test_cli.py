@@ -181,3 +181,10 @@ def test_resolved_config_records_overrides(tmp_path):
     assert doc["ga"]["lambda"] == 0.5
     assert doc["runs"] == 1
     assert doc["command"] == "train"
+    # the toy config leaves these out; the defaults that ran are recorded
+    assert {k: doc["ga"][k] for k in ("q", "k", "ga_patience", "ga_tolerance")} == {
+        "q": 3, "k": 2, "ga_patience": 5, "ga_tolerance": 1e-4
+    }
+    assert {k: doc["train"][k] for k in ("es_tolerance", "batch_size")} == {
+        "es_tolerance": 1e-4, "batch_size": 0
+    }

@@ -69,7 +69,7 @@ def test_config_loader_resolves_paths_and_defaults(tmp_path):
     assert config.bin_fit == "train"
     assert config.hidden_layers == (2,)
     assert config.tree_features == "binarized"
-    assert config.ga_args["lam"] == 0.1
+    assert config.ga.lam == 0.1
     assert config.ga_config(5).seed == 5
     assert config.train_config(9).learning_rate == 0.5
 
@@ -83,7 +83,7 @@ def test_config_overrides_win(tmp_path):
     assert config.seed == 123
     assert config.runs == 1
     assert config.out_dir == tmp_path / "elsewhere"
-    assert config.ga_args["lam"] == 0.7
+    assert config.ga.lam == 0.7
     assert config.bin_fit == "all"
 
 
@@ -118,10 +118,24 @@ def test_config_names_missing_files(tmp_path):
 
 def test_config_reports_bad_hyperparameters_with_path(tmp_path):
     write_toy_dataset(tmp_path)
-    bad_ga = dict(TOY_GA, crossover_rate=2.0)
-    path = write_toy_config(tmp_path, ga=bad_ga)
-    with pytest.raises(ConfigError, match="crossover_rate"):
-        load_experiment_config(path)
+    cases = [
+        ("ga", "crossover_rate", 2.0),
+        # integer settings must be JSON integers, and no setting takes a boolean
+        ("ga", "population_size", 20.0),
+        ("train", "batch_size", 0.5),
+        ("ga", "q", 3.0),
+        ("train", "max_epochs", True),
+        ("ga", "lambda", True),
+        ("ga", "n_conn_init", [12.7, 6]),
+        ("ga", "generations", "2"),
+    ]
+    for section, key, value in cases:
+        sections = {"ga": dict(TOY_GA), "train": dict(TOY_TRAIN)}
+        sections[section][key] = value
+        path = write_toy_config(tmp_path, **sections)
+        with pytest.raises(ConfigError) as info:
+            load_experiment_config(path)
+        assert str(path) in str(info.value) and key in str(info.value), (key, value)
 
 
 def test_training_experiment_writes_artifacts(tmp_path):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaflearn.ga as ga
 from gaflearn.errors import CodecError, ConfigError, InputShapeError
 from gaflearn.ga import (
-    Chromosome,
     EvaluatedIndividual,
     GaConfig,
     chromosome_length,
@@ -33,11 +34,11 @@ def test_chromosome_length_sums_adjacent_products():
 
 
 def test_decode_empty_full_and_diagonal():
-    empty = decode(Chromosome(np.zeros(4, np.uint8), (2, 2)))
+    empty = decode(np.zeros(4, np.uint8), (2, 2))
     assert empty.n_connections == 0
-    full = decode(Chromosome(np.ones(4, np.uint8), (2, 2)))
+    full = decode(np.ones(4, np.uint8), (2, 2))
     assert full.n_connections == 4
-    diag = decode(Chromosome(bits("1001"), (2, 2)))
+    diag = decode(bits("1001"), (2, 2))
     assert np.array_equal(diag.blocks[0][2], [[True, False], [False, True]])
 
 
@@ -45,16 +46,18 @@ def test_decode_is_row_major_within_blocks():
     # bit offset(i) + a*s_{i+1} + b: second block, a=1, b=0 -> position 6+2
     c = np.zeros(chromosome_length((3, 2, 2)), np.uint8)
     c[6 + 1 * 2 + 0] = 1
-    structure = decode(Chromosome(c, (3, 2, 2)))
+    structure = decode(c, (3, 2, 2))
     assert structure.blocks[0][2].sum() == 0
     assert np.array_equal(structure.blocks[1][2], [[False, False], [True, False]])
 
 
 def test_chromosome_rejects_bad_shapes_and_values():
     with pytest.raises(CodecError):
-        Chromosome(np.zeros(5, np.uint8), (2, 2))
+        decode(np.zeros(5, np.uint8), (2, 2))
     with pytest.raises(CodecError):
-        Chromosome(np.array([0, 2, 0, 0], np.uint8), (2, 2))
+        decode(np.zeros((2, 2), np.uint8), (2, 2))
+    with pytest.raises(CodecError):
+        decode(np.array([0, 2, 0, 0], np.uint8), (2, 2))
 
 
 def test_fitness_hand_values():
@@ -91,17 +94,17 @@ def test_init_population_places_exact_counts():
     pop = init_population(config, (4, 12, 3))
     assert len(pop) == 20
     for c in pop:
-        assert c.bits[: 4 * 12].sum() == 12
-        assert c.bits[4 * 12 :].sum() == 6
+        assert c[: 4 * 12].sum() == 12
+        assert c[4 * 12 :].sum() == 6
     again = init_population(config, (4, 12, 3))
-    assert all(np.array_equal(a.bits, b.bits) for a, b in zip(pop, again))
+    assert all(np.array_equal(a, b) for a, b in zip(pop, again))
 
 
 def test_init_population_edge_counts():
     full = init_population(iris_like_config(n_conn_init=(48, 36)), (4, 12, 3))
-    assert all(c.bits.all() for c in full)
+    assert all(c.all() for c in full)
     none = init_population(iris_like_config(n_conn_init=(0, 0)), (4, 12, 3))
-    assert all(not c.bits.any() for c in none)
+    assert all(not c.any() for c in none)
     with pytest.raises(ConfigError, match="capacity"):
         init_population(iris_like_config(n_conn_init=(49, 6)), (4, 12, 3))
     with pytest.raises(ConfigError, match="layer pairs"):
@@ -112,7 +115,7 @@ def make_individual(fit, n_conn=0, length=10):
     c = np.zeros(length, np.uint8)
     c[:n_conn] = 1
     return EvaluatedIndividual(
-        chromosome=Chromosome(c, (2, 5)),
+        bits=c,
         fitness=fit,
         train_accuracy=fit,
         n_connections=n_conn,
@@ -150,50 +153,87 @@ def test_exchange_segments_hand_example():
 
 def test_crossover_identical_parents_yield_identical_children():
     rng = np.random.default_rng(3)
-    p = Chromosome(bits("0110"), (2, 2))
+    p = bits("0110")
     for _ in range(10):
         c1, c2 = k_point_crossover(p, p.copy(), k=2, rng=rng)
-        assert np.array_equal(c1.bits, p.bits)
-        assert np.array_equal(c2.bits, p.bits)
+        assert np.array_equal(c1, p)
+        assert np.array_equal(c2, p)
 
 
 def test_crossover_conserves_loci():
     rng = np.random.default_rng(4)
     for _ in range(300):
         length = int(rng.integers(4, 40))
-        sizes = (1, length)
-        p1 = Chromosome((rng.uniform(size=length) < 0.5).astype(np.uint8), sizes)
-        p2 = Chromosome((rng.uniform(size=length) < 0.5).astype(np.uint8), sizes)
+        p1 = (rng.uniform(size=length) < 0.5).astype(np.uint8)
+        p2 = (rng.uniform(size=length) < 0.5).astype(np.uint8)
         k = int(rng.integers(1, length))
         c1, c2 = k_point_crossover(p1, p2, k, rng)
-        assert np.array_equal(c1.bits + c2.bits, p1.bits + p2.bits)
-        assert np.array_equal(c1.bits | c2.bits, p1.bits | p2.bits)
+        assert np.array_equal(c1 + c2, p1 + p2)
+        assert np.array_equal(c1 | c2, p1 | p2)
 
 
 def test_crossover_rate_zero_copies_parents():
     rng = np.random.default_rng(5)
-    p1 = Chromosome(bits("0000"), (2, 2))
-    p2 = Chromosome(bits("1111"), (2, 2))
+    p1 = bits("0000")
+    p2 = bits("1111")
     c1, c2 = k_point_crossover(p1, p2, k=2, rng=rng, crossover_rate=0.0)
-    assert np.array_equal(c1.bits, p1.bits)
-    assert np.array_equal(c2.bits, p2.bits)
-    c1.bits[0] = 1  # children are copies, not views
-    assert p1.bits[0] == 0
+    assert np.array_equal(c1, p1)
+    assert np.array_equal(c2, p2)
+    c1[0] = 1  # children are copies, not views
+    assert p1[0] == 0
 
 
 def test_mutation_rate_extremes():
     rng = np.random.default_rng(6)
-    c = Chromosome(bits("010011"), (2, 3))
+    c = bits("010011")
     same = flip_mutate(c, 0.0, rng)
-    assert np.array_equal(same.bits, c.bits)
+    assert np.array_equal(same, c)
     flipped = flip_mutate(c, 1.0, rng)
-    assert np.array_equal(flipped.bits, 1 - c.bits)
+    assert np.array_equal(flipped, 1 - c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_operator_rows_decode_and_round_trip(sizes, seed, data):
+    # the rows carry no layer sizes, so decode is where a bad row must be caught
+    length = chromosome_length(sizes)
+    n_conn_init = tuple(data.draw(st.integers(0, a * b)) for a, b in zip(sizes, sizes[1:]))
+    rng = np.random.default_rng(seed)
+    config = iris_like_config(population_size=4, n_conn_init=n_conn_init)
+    rows = init_population(config, sizes, rng)
+    if length > 1:
+        k = data.draw(st.integers(1, length - 1))
+        rate = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        rows.extend(k_point_crossover(rows[0], rows[1], k, rng, rate))
+    rows.extend(flip_mutate(r, data.draw(st.sampled_from([0.0, 0.1, 1.0])), rng) for r in rows[:])
+    for bits in rows:
+        assert bits.dtype == np.uint8 and bits.shape == (length,)
+        assert ((bits == 0) | (bits == 1)).all()
+        blocks = decode(bits, sizes).blocks
+        assert [(src, dst) for src, dst, _ in blocks] == [(i, i + 1) for i in range(len(sizes) - 1)]
+        again = np.concatenate([mask.ravel() for _, _, mask in blocks]).astype(np.uint8)
+        assert np.array_equal(again, bits)
+
+    with pytest.raises(CodecError):
+        decode(rows[0][:-1], sizes)
+    with pytest.raises(CodecError):
+        decode(np.append(rows[0], np.uint8(0)), sizes)
+    two = rows[0].copy()
+    two[data.draw(st.integers(0, length - 1))] = 2
+    with pytest.raises(CodecError):
+        decode(two, sizes)
+    with pytest.raises(CodecError):
+        k_point_crossover(rows[0], np.append(rows[1], np.uint8(1)), 1, rng)
 
 
 def test_mutation_flip_rate_is_binomial():
     rng = np.random.default_rng(7)
-    c = Chromosome(np.zeros(20000, np.uint8), (1, 20000))
-    flips = flip_mutate(c, 0.01, rng).bits.sum()
+    c = np.zeros(20000, np.uint8)
+    flips = flip_mutate(c, 0.01, rng).sum()
     # n*p = 200, sd about 14; allow 5 sd
     assert 130 <= flips <= 270
 
@@ -360,7 +400,7 @@ def test_evolve_is_deterministic_and_batch_composition_invariant(monkeypatch):
     best_a, log_a = evolve(x, y, x, y, (1, 2), config, tc)
     best_b, log_b = evolve(x, y, x, y, (1, 2), config, tc)
     assert log_a == log_b
-    assert np.array_equal(best_a.chromosome.bits, best_b.chromosome.bits)
+    assert np.array_equal(best_a.bits, best_b.bits)
 
     # train each structure alone instead of in its generation's stack
     together = ga.train_population
@@ -374,7 +414,7 @@ def test_evolve_is_deterministic_and_batch_composition_invariant(monkeypatch):
     monkeypatch.setattr(ga, "train_population", one_at_a_time)
     best_c, log_c = evolve(x, y, x, y, (1, 2), config, tc)
     assert log_c == log_a
-    assert np.array_equal(best_c.chromosome.bits, best_a.chromosome.bits)
+    assert np.array_equal(best_c.bits, best_a.bits)
     for p, q in zip(best_c.result.net.weights + best_c.result.net.biases,
                     best_a.result.net.weights + best_a.result.net.biases):
         assert np.array_equal(p, q)
@@ -417,14 +457,14 @@ def test_duplicate_chromosomes_are_trained_once(monkeypatch):
         mutation_rate=0.0,
         elitist_fraction=0.0,
         lam=0.1,
-        n_conn_init=(2,),  # capacity 2: every chromosome is fully connected
+        n_conn_init=(2,),  # capacity 2: every row is fully connected
         seed=1,
         ga_patience=1,
         ga_tolerance=0.0,
         k=1,
     )
     _, log = evolve(x, y, x, y, (1, 2), config, toy_train_config())
-    # one unique chromosome in generation 0 and one in generation 1
+    # one unique row in generation 0 and one in generation 1
     assert calls["n"] == 2
     pop_fitness = {s.best_fitness for s in log}
     assert len(pop_fitness) == 1

@@ -247,14 +247,24 @@ def test_build_gaf_names_and_parameter_round_trip():
     # hidden/output base scores are the logistic of the given biases
     assert abs(gaf.layers[1][1].base_score - sigma(-1.0)) < 1e-12
 
-    got_structure, got_weights, got_biases = gaf.parameters()
-    assert got_structure.layer_sizes == (2, 3, 2)
-    for (_, _, want_m), (_, _, got_m) in zip(structure.blocks, got_structure.blocks):
+    net = MaskedNet.from_gaf(gaf)
+    assert net.structure.layer_sizes == (2, 3, 2)
+    for (_, _, want_m), got_m in zip(structure.blocks, net.masks):
         assert np.array_equal(want_m, got_m)
-    for want_w, got_w in zip(weights, got_weights):
+    for want_w, got_w in zip(weights, net.weights):
         assert np.allclose(want_w, got_w, rtol=0, atol=0)
-    for want_b, got_b in zip(biases, got_biases):
+    for want_b, got_b in zip(biases, net.biases):
         assert np.allclose(want_b, got_b, rtol=0, atol=1e-9)
+
+    # the net owns its arrays: writing to them leaves the graph as it was
+    x = np.array([[1.0, 0.0], [0.25, 0.75]])
+    before = output_distributions(gaf, x)
+    for a in net.masks + net.weights + net.biases:
+        a[...] = 0
+    assert np.array_equal(output_distributions(gaf, x), before)
+    again = MaskedNet.from_gaf(gaf)
+    for (_, _, want_m), got_m in zip(structure.blocks, again.masks):
+        assert np.array_equal(want_m, got_m)
 
 
 def test_build_gaf_clamps_saturated_base_scores():
