@@ -10,8 +10,9 @@ config, so summary files are byte-identical across repeats.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -141,10 +142,30 @@ def _section(doc: dict, name: str, cls: type, path: Path, overrides: dict):
         raise ConfigError(f"{path}: unknown {name} keys {unknown}")
     args = {keys[key]: value for key, value in section.items()}
     args.update(overrides)
+    key_of = {field_name: key for key, field_name in keys.items()}
+    for f in fields(cls):  # a missing setting is named as the file names it
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in args:
+            raise ConfigError(f"{path}: missing required {name} key {key_of[f.name]!r}")
     try:
         return cls(**args)
-    except (ConfigError, TypeError) as exc:  # TypeError: a required key is missing
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _reject_non_finite(value, key: str, path: Path) -> None:
+    """Raise ConfigError naming ``key`` if value holds NaN or +/-Infinity.
+
+    json reads the non-standard tokens NaN, Infinity and -Infinity, and
+    literals too large for a float, as non-finite floats; no setting takes one.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: {key} must be a finite number, got {value}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _reject_non_finite(v, k, path)
+    elif isinstance(value, list):
+        for v in value:
+            _reject_non_finite(v, key, path)
 
 
 def load_experiment_config(
@@ -175,6 +196,7 @@ def load_experiment_config(
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    _reject_non_finite(doc, "", path)
     unknown = sorted(set(doc) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")

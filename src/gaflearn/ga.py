@@ -103,7 +103,7 @@ class GaConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.ga_patience < 1:
             raise ConfigError(f"ga_patience must be >= 1, got {self.ga_patience}")
-        if self.ga_tolerance < 0:
+        if not self.ga_tolerance >= 0:  # NaN fails too; +inf is allowed
             raise ConfigError(f"ga_tolerance must be >= 0, got {self.ga_tolerance}")
         if any(c < 0 for c in self.n_conn_init):
             raise ConfigError("n_conn_init counts must be >= 0")

@@ -373,28 +373,39 @@ def strength_trajectory(
     return out
 
 
+def live_units(structure: GafStructure) -> list[np.ndarray]:
+    """Per layer, a boolean vector of its live units.
+
+    A unit is live when a directed path of edges leads from it to an output
+    argument; output arguments always count as live. Everything else is
+    dead: its strength reaches no output, so an edge into a dead unit can
+    change no class distribution and gets an exactly-zero gradient.
+    """
+    live = [np.zeros(s, dtype=bool) for s in structure.layer_sizes]
+    live[-1][:] = True
+    # deepest sources first, so every block's target layer is already final
+    for src, dst, mask in sorted(structure.blocks, key=lambda b: -b[0]):
+        live[src] |= mask[:, live[dst]].any(axis=1)
+    return live
+
+
 def prune_inert_edges(gaf: LayeredGaf) -> LayeredGaf:
     """Drop edges that provably cannot influence any output distribution.
 
-    An edge matters only if its target is an output argument or lies on a
-    directed path to one. Removing the rest changes the strengths of the
-    orphaned arguments but leaves every class distribution bit-identical,
-    so the pruned graph is an equivalent, more readable classifier.
+    An edge matters only if its target is live (see :func:`live_units`).
+    Removing the rest changes the strengths of the orphaned arguments but
+    leaves every class distribution bit-identical, so the pruned graph is
+    an equivalent, more readable classifier. Kept edges keep their order;
+    a graph with nothing to prune is returned as is.
     """
-    reach = {a.id for a in gaf.output_arguments()}
-    changed = True
-    while changed:
-        changed = False
-        for edge in gaf.edges:
-            if edge.target in reach and edge.source not in reach:
-                reach.add(edge.source)
-                changed = True
-    kept = tuple(e for e in gaf.edges if e.target in reach)
+    live = live_units(gaf._decomposition()[0])
+    alive = {
+        arg.id for layer, flags in zip(gaf.layers, live) for arg, ok in zip(layer, flags) if ok
+    }
+    kept = tuple(e for e in gaf.edges if e.target in alive)
     if len(kept) == len(gaf.edges):
         return gaf
-    return LayeredGaf(
-        layers=gaf.layers, edges=kept, class_labels=gaf.class_labels
-    )
+    return LayeredGaf(layers=gaf.layers, edges=kept, class_labels=gaf.class_labels)
 
 
 def clamp_base_score(value: float) -> float:

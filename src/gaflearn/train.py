@@ -6,6 +6,20 @@ loss. Base scores are trained through their log-odds (an unconstrained
 bias), weights only where the structure has an edge. Optimization is Adam
 with early stopping on validation loss. Every kernel also runs on a stack
 of nets with a leading population axis, equal slice by slice to one net.
+
+Training and :func:`accuracy` work on each net's live support only: the
+units with a path to an output (:func:`graph.live_units`). A dead unit's
+strength reaches no output, so every term it would add to a product or a
+gradient is an exact zero. The live units of each layer are gathered into
+compact (P, k_src, k_dst) arrays, padded to the stack's widest with
+zero-weight, zero-mask slots, and each net's inputs are gathered on its
+live columns. A compact product adds the same nonzero terms in the same
+order as the full-shape one, so the two agree bit for bit wherever BLAS
+adds a product's terms in index order. OpenBLAS 0.3.31 does for products
+at most 15 terms wide (Iris's whole input layer is 12 wide), but not in
+some output columns of wider ones: in a dense 118-wide input product,
+hidden columns 8-11 may round differently once three or more live inputs
+are active together.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GafError, InputShapeError
-from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass
+from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass, live_units
 from .util import check_field_types, log_sum_exp, log_sum_exp_and_softmax, softmax_rows
 
 ADAM_BETA1 = 0.9
@@ -42,7 +56,7 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.es_patience < 1:
             raise ConfigError(f"es_patience must be >= 1, got {self.es_patience}")
-        if self.es_tolerance < 0:
+        if not self.es_tolerance >= 0:  # NaN fails too; +inf is allowed
             raise ConfigError(f"es_tolerance must be >= 0, got {self.es_tolerance}")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
@@ -96,10 +110,6 @@ class MaskedNet:
         blocks = tuple((src, dst, m.copy()) for src, dst, m in structure.blocks)
         return cls(GafStructure(structure.layer_sizes, blocks), weights, biases)
 
-    def set_params(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
-        self.weights = [w.copy() for w in weights]
-        self.biases = [b.copy() for b in biases]
-
     def forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Strengths of the input and hidden layers, and output pre-activations, for a batch."""
         return forward_pass(self.structure, self.weights, self.biases, x)
@@ -113,8 +123,73 @@ class MaskedNet:
         return np.argmax(z, axis=1)
 
 
+def _live_support(nets: Sequence[MaskedNet]) -> list[np.ndarray]:
+    """Per layer, a (P, k) array of each net's live units in ascending order.
+
+    Rows are padded with -1 to the stack's widest live set, and to two slots
+    in a layer of two or more units: at width 1 numpy's matmul calls gemv
+    instead of gemm, which sums in another order. A -1 slot reads the
+    layer's last unit, which its zero mask then cancels.
+    """
+    support = []
+    sizes = nets[0].structure.layer_sizes
+    for size, layer in zip(sizes, zip(*(live_units(net.structure) for net in nets))):
+        found = [np.flatnonzero(live) for live in layer]
+        units = np.full((len(found), max(min(2, size), *map(len, found))), -1, dtype=np.intp)
+        for row, f in zip(units, found):
+            row[: len(f)] = f
+        support.append(units)
+    return support
+
+
+def _compact(stack: MaskedNet, units: list[np.ndarray]) -> MaskedNet:
+    """The stacked nets on their live support: (P, k_src, k_dst) weights and
+    masks and (P, k) biases, gathered from ``units`` (see _live_support).
+    Padding slots get zero weight, mask and bias."""
+    rows = np.arange(len(units[0]))[:, None, None]
+    compact = copy.copy(stack)
+    compact.weights, compact.masks = [], []
+    for (src, dst, _), w, m in zip(stack.structure.blocks, stack.weights, stack.masks):
+        at = (rows, units[src][:, :, None], units[dst][:, None, :])
+        keep = (units[src] >= 0)[:, :, None] & (units[dst] >= 0)[:, None, :]
+        compact.weights.append(w[at] * keep)
+        compact.masks.append(m[at] & keep)
+    compact.biases = [
+        np.where(u >= 0, b[rows[:, :, 0], u], 0.0) for b, u in zip(stack.biases, units[1:])
+    ]
+    # the first net's masks stand for the layout, as in MaskedNet.stack
+    blocks = tuple((s, d, m[0]) for (s, d, _), m in zip(stack.structure.blocks, compact.masks))
+    compact.structure = GafStructure(tuple(u.shape[1] for u in units), blocks)
+    return compact
+
+
+def _scatter(net: MaskedNet, params: list[np.ndarray], units: list[np.ndarray]) -> None:
+    """Write one net's compact weights and biases back into its full-shape ones.
+
+    ``params`` and ``units`` are the net's slices of the compact stack and
+    of its support. Entries outside the live support keep their values.
+    """
+    live = [u[u >= 0] for u in units]
+    for (src, dst, _), w, p in zip(net.structure.blocks, net.weights, params):
+        w[np.ix_(live[src], live[dst])] = p[: len(live[src]), : len(live[dst])]
+    for b, p, u in zip(net.biases, params[len(net.weights) :], live[1:]):
+        b[u] = p[: len(u)]
+
+
+def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """x's columns ``cols``, C-ordered like x (BLAS may round differently on
+    another layout); x itself when cols is every column in order, as for a
+    fully connected net."""
+    if np.array_equal(cols, np.arange(x.shape[1])):
+        return x
+    return np.take(x, cols, axis=1)
+
+
 def accuracy(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(net.predict(x) == np.asarray(y)))
+    """Share of rows whose argmax class is y, computed on the net's live support."""
+    units = _live_support([net])
+    _, z = _compact(MaskedNet.stack([net]), units).forward(_columns(np.asarray(x), units[0][0]))
+    return float(np.mean(np.argmax(z[0], axis=-1) == np.asarray(y)))
 
 
 def _cross_entropy(z: np.ndarray, y: np.ndarray, lse: np.ndarray) -> float | np.ndarray:
@@ -255,8 +330,17 @@ def train_population(
     best parameters seen are kept (strictly smaller loss wins, earliest
     epoch on ties), and an individual leaves the stack once es_patience
     consecutive epochs fail to beat its best by more than es_tolerance.
-    Each result is bit-identical to training its structure alone. A train
-    or validation loss that is not finite raises :class:`GafError` naming i.
+
+    The stack holds only each net's live support: its live units per layer,
+    padded to the stack's widest with zero-weight, zero-mask slots, and
+    inputs are gathered on each net's live columns only. When an individual
+    leaves, its best compact parameters are scattered back into its
+    initialized full-shape net. A dead edge would get an exactly-zero
+    gradient, so it keeps its initial draw, and a dead hidden bias stays 0.
+    Each result is bit-identical to training its full structure alone with
+    the full-shape kernels wherever BLAS adds each product's terms in index
+    order (see the module docstring). A train or validation loss that is
+    not finite raises :class:`GafError` naming i.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
@@ -275,10 +359,10 @@ def train_population(
     nets = [MaskedNet.initialize(st, rng) for st, rng in zip(structures, rngs)]
     histories = [TrainingHistory() for _ in nets]
     results: dict[int, TrainResult] = {}
-    stack = MaskedNet.stack(nets)
+    units = _live_support(nets)
+    stack = _compact(MaskedNet.stack(nets), units)
     state = AdamState.zeros_like(stack.weights + stack.biases)
     best = [p.copy() for p in stack.weights + stack.biases]
-    n_weights = len(stack.weights)
     # per stacked individual: its index i, best loss, best epoch, stall count
     active = np.arange(len(nets))
     best_loss = np.full(len(nets), np.inf)
@@ -287,6 +371,17 @@ def train_population(
     n = x_train.shape[0]
     batch_size = config.batch_size if 0 < config.batch_size < n else n
     starts = range(0, n, batch_size)
+    # inputs on the live columns: one (rows, k) matrix when every net has the
+    # same columns (always so for one net), else a C-ordered (P, rows, k)
+    # gather per net
+    cols = units[0]
+    shared = bool((cols == cols[0]).all())
+    if shared:
+        x_live, x_val = _columns(x_train, cols[0]), _columns(x_val, cols[0])
+    else:
+        x_val = x_val[np.arange(len(x_val))[:, None], cols[:, None, :]]
+        if batch_size == n:
+            x_live = x_train[np.arange(n)[:, None], cols[:, None, :]]
     for epoch in range(1, config.max_epochs + 1):
         params = stack.weights + stack.biases
         if batch_size < n:
@@ -295,9 +390,10 @@ def train_population(
         for b, start in enumerate(starts):
             if batch_size < n:
                 idx = order[:, start : start + batch_size]
-                loss, grad_w, grad_b = gradients(stack, x_train[idx], y_train[idx])
+                x = x_live[idx] if shared else x_train[idx[:, :, None], cols[:, None, :]]
+                loss, grad_w, grad_b = gradients(stack, x, y_train[idx])
             else:
-                loss, grad_w, grad_b = gradients(stack, x_train, y_train)
+                loss, grad_w, grad_b = gradients(stack, x_live, y_train)
             batch_losses[:, b] = loss
             step = (epoch - 1) * len(starts) + b + 1
             adam_step(params, grad_w + grad_b, state, step, config.learning_rate)
@@ -331,7 +427,7 @@ def train_population(
         stopped = (stall >= config.es_patience) | (epoch == config.max_epochs)
         for k in np.flatnonzero(stopped).tolist():
             i = int(active[k])
-            nets[i].set_params([p[k] for p in best[:n_weights]], [p[k] for p in best[n_weights:]])
+            _scatter(nets[i], [p[k] for p in best], [u[k] for u in units])
             h = histories[i]
             results[i] = TrainResult(nets[i], h, len(h.val_loss), int(best_epoch[k]), seeds[i])
         if stopped.all():
@@ -341,10 +437,17 @@ def train_population(
             active, best_loss, best_epoch, stall = (
                 a[keep] for a in (active, best_loss, best_epoch, stall)
             )
-            stack.weights, stack.biases, stack.masks, best, state.m, state.v = (
-                [a[keep] for a in arrays]
-                for arrays in (stack.weights, stack.biases, stack.masks, best, state.m, state.v)
+            units, best, state.m, state.v = (
+                [a[keep] for a in arrays] for arrays in (units, best, state.m, state.v)
             )
+            stack.weights, stack.biases, stack.masks = (
+                [a[keep] for a in arrays] for arrays in (stack.weights, stack.biases, stack.masks)
+            )
+            cols = units[0]
+            if not shared:  # per-net gathers lose the stopped nets' slices
+                x_val = x_val[keep]
+                if batch_size == n:
+                    x_live = x_live[keep]
     return [results[i] for i in range(len(nets))]
 
 

@@ -35,6 +35,27 @@ def test_missing_schema_exits_2_naming_path(tmp_path, capsys):
     assert "gone.schema.json" in capsys.readouterr().err
 
 
+def test_bad_config_values_exit_2_with_one_line_naming_file_and_key(tmp_path, capsys):
+    write_toy_dataset(tmp_path)
+    base = json.loads(write_toy_config(tmp_path).read_text())
+    for section, key, value in (
+        ("train", "es_tolerance", float("nan")),  # json writes NaN
+        ("ga", "ga_tolerance", float("inf")),  # and Infinity
+        ("ga", "lambda", None),  # missing
+    ):
+        doc = json.loads(json.dumps(base))
+        if value is None:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "out") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: "), lines
+        assert repr(key) in lines[0] or f" {key} " in lines[0], lines
+
+
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second line
 def test_diverged_training_exits_1_with_one_line(tmp_path, capsys):
     write_toy_dataset(tmp_path)

@@ -101,6 +101,15 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
         load_experiment_config(path)
 
     del doc["ga"]["speed"]
+    # a missing required setting is named by its config-file key
+    for section, key in (("ga", "lambda"), ("train", "learning_rate")):
+        cut = json.loads(json.dumps(doc))
+        del cut[section][key]
+        path.write_text(json.dumps(cut))
+        with pytest.raises(ConfigError) as info:
+            load_experiment_config(path)
+        assert str(info.value) == f"{path}: missing required {section} key {key!r}"
+
     del doc["train"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="train"):
@@ -128,6 +137,9 @@ def test_config_reports_bad_hyperparameters_with_path(tmp_path):
         ("ga", "lambda", True),
         ("ga", "n_conn_init", [12.7, 6]),
         ("ga", "generations", "2"),
+        # json writes these as the non-standard tokens NaN and Infinity
+        ("train", "es_tolerance", float("nan")),
+        ("ga", "ga_tolerance", float("inf")),
     ]
     for section, key, value in cases:
         sections = {"ga": dict(TOY_GA), "train": dict(TOY_TRAIN)}

@@ -271,6 +271,9 @@ def test_config_validation():
         iris_like_config(q=21)
     with pytest.raises(ConfigError):
         iris_like_config(ga_tolerance=-0.1)
+    with pytest.raises(ConfigError, match="ga_tolerance"):
+        iris_like_config(ga_tolerance=float("nan"))
+    assert iris_like_config(ga_tolerance=float("inf")).ga_tolerance == float("inf")
 
 
 # -- end-to-end evolution on a toy problem -------------------------------

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaflearn import (
     Argument,
@@ -22,6 +24,7 @@ from gaflearn import (
     prune_inert_edges,
     strength_trajectory,
 )
+from gaflearn.graph import live_units
 
 
 def sigma(x):
@@ -390,3 +393,45 @@ def test_prune_inert_edges_no_op_returns_same_graph():
     ]
     gaf = LayeredGaf(layers, edges, class_labels=("y1", "y2"))
     assert prune_inert_edges(gaf) is gaf
+
+
+@st.composite
+def layered_classifiers(draw):
+    """A random layered classifier: 2-4 layers, every adjacent block and some
+    skip blocks, random masks, weights and base scores."""
+    n_layers = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, 5)) for _ in range(n_layers - 1)] + [draw(st.integers(2, 4))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    blocks, weights = [], []
+    for src in range(n_layers - 1):
+        for dst in range(src + 1, n_layers):
+            if dst == src + 1 or draw(st.booleans()):
+                mask = rng.uniform(size=(sizes[src], sizes[dst])) < density
+                blocks.append((src, dst, mask))
+                weights.append(rng.normal(0.0, 2.0, size=mask.shape) * mask)
+    structure = GafStructure(tuple(sizes), tuple(blocks))
+    biases = [rng.normal(0.0, 1.0, size=s) for s in sizes[1:]]
+    names = [f"x{i}" for i in range(sizes[0])]
+    labels = [f"c{i}" for i in range(sizes[-1])]
+    return build_gaf(structure, weights, biases, names, labels), rng
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(layered_classifiers())
+def test_prune_keeps_exactly_the_edges_into_live_units(drawn):
+    gaf, rng = drawn
+    # reference: an argument is live when it is an output or has an edge to a live one
+    reach = {a.id for a in gaf.output_arguments()}
+    for layer in reversed(gaf.layers[:-1]):
+        for arg in layer:
+            if any(e.source == arg.id and e.target in reach for e in gaf.edges):
+                reach.add(arg.id)
+    live = live_units(gaf._decomposition()[0])
+    assert [[a.id in reach for a in layer] for layer in gaf.layers] == [f.tolist() for f in live]
+
+    pruned = prune_inert_edges(gaf)
+    assert pruned.edges == tuple(e for e in gaf.edges if e.target in reach)
+    assert (pruned is gaf) == (len(pruned.edges) == len(gaf.edges))
+    batch = rng.uniform(size=(8, gaf.layer_sizes[0]))
+    assert np.array_equal(output_distributions(gaf, batch), output_distributions(pruned, batch))

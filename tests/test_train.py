@@ -8,7 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from gaflearn.errors import ConfigError, GafError, InputShapeError
-from gaflearn.graph import GafStructure, output_distributions
+from gaflearn.graph import GafStructure, forward_pass, live_units, output_distributions
 from gaflearn.train import (
     AdamState,
     MaskedNet,
@@ -304,7 +304,8 @@ def three_class_task(seed, n):
 
 
 def reference_train(structure, x, y, xv, yv, config):
-    """The per-structure training loop, written with the single-net kernels."""
+    """The per-structure training loop, written with the single-net kernels
+    on the full-shape net."""
     rng = np.random.default_rng(config.seed)
     net = MaskedNet.initialize(structure, rng)
     params = net.weights + net.biases
@@ -325,15 +326,43 @@ def reference_train(structure, x, y, xv, yv, config):
         val_loss, _ = forward_loss(net, xv, yv)
         history.train_loss.append(float(np.mean(losses)))
         history.val_loss.append(val_loss)
-        history.val_accuracy.append(accuracy(net, xv, yv))
+        history.val_accuracy.append(float(np.mean(net.predict(xv) == yv)))
         stall = 0 if epoch == 1 or val_loss < best_loss - config.es_tolerance else stall + 1
         if epoch == 1 or val_loss < best_loss:
             best_loss, best_epoch = val_loss, epoch
             best = [w.copy() for w in net.weights], [b.copy() for b in net.biases]
         if stall >= config.es_patience:
             break
-    net.set_params(*best)
+    net.weights, net.biases = best
     return net, history, best_epoch
+
+
+def assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, seeds):
+    """train_population equals train and the dense reference_train, bit for bit,
+    and leaves every dead edge at its initial draw and every dead hidden bias at 0."""
+    together = train_population(structures, x, y, xv, yv, config, seeds)
+    for structure, seed, result in zip(structures, seeds, together):
+        alone = train(structure, x, y, xv, yv, replace(config, seed=seed))
+        net, history, best_epoch = reference_train(
+            structure, x, y, xv, yv, replace(config, seed=seed)
+        )
+        for other in (alone.net, net):
+            for p, q in zip(result.net.weights + result.net.biases, other.weights + other.biases):
+                assert np.array_equal(p, q)
+        assert result.history == alone.history == history
+        assert result.epochs_run == alone.epochs_run == len(history.val_loss)
+        assert result.best_epoch == alone.best_epoch == best_epoch
+        assert result.seed == alone.seed == seed
+
+        initial = MaskedNet.initialize(structure, np.random.default_rng(seed))
+        live = live_units(structure)
+        blocks = result.net.structure.blocks
+        for (_, dst, mask), w, w0 in zip(blocks, result.net.weights, initial.weights):
+            dead = mask & ~live[dst][None, :]
+            assert w[dead].tobytes() == w0[dead].tobytes()
+        for b, alive in zip(result.net.biases[:-1], live[1:-1]):
+            assert (b[~alive] == 0.0).all()
+    return together
 
 
 @pytest.mark.parametrize(
@@ -354,19 +383,83 @@ def test_train_population_equals_training_each_structure_alone(batch_size, es_pa
     seeds = [int(s) for s in rng.integers(1 << 40, size=len(structures))]
     config = TrainConfig(learning_rate=0.1, max_epochs=60, es_patience=es_patience,
                          es_tolerance=1e-3, batch_size=batch_size)
-    together = train_population(structures, x, y, xv, yv, config, seeds)
-    for structure, seed, result in zip(structures, seeds, together):
-        alone = train(structure, x, y, xv, yv, replace(config, seed=seed))
-        net, history, best_epoch = reference_train(structure, x, y, xv, yv, replace(config, seed=seed))
-        for other in (alone.net, net):
-            for p, q in zip(result.net.weights + result.net.biases, other.weights + other.biases):
-                assert np.array_equal(p, q)
-        assert result.history == alone.history == history
-        assert result.epochs_run == alone.epochs_run == len(history.val_loss)
-        assert result.best_epoch == alone.best_epoch == best_epoch
-        assert result.seed == alone.seed == seed
+    together = assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, seeds)
     if es_patience < 10:  # individuals stop at different epochs, so the stack shrank
         assert len({r.epochs_run for r in together}) > 1
+
+
+ADULT_SIZES = (118, 12, 2)
+
+
+def adult_like_task(seed, n):
+    """Binary indicator rows of Adult's width; the label follows three columns."""
+    rng = np.random.default_rng(seed)
+    x = (rng.uniform(size=(n, ADULT_SIZES[0])) < 0.3).astype(np.float64)
+    y = ((x[:, 3] + x[:, 40] - x[:, 77] + rng.uniform(size=n)) > 1.0).astype(np.int64)
+    return x, y
+
+
+def sparse_adult_structure(rng, n_input_edges, n_output_edges, skip_edges=0):
+    """A search-like structure with blocks (0,1), (0,2) and (1,2).
+
+    Each hidden argument gets at most two input edges, so every live hidden
+    pre-activation sums at most two nonzero terms, which any summation order
+    adds alike. With three or more co-active inputs the dense reference's
+    118-wide product can round differently: OpenBLAS sums some of its output
+    columns out of index order, the compact product sums them in order.
+    """
+    n_in, n_hidden, n_out = ADULT_SIZES
+    m01 = np.zeros((n_in, n_hidden), dtype=bool)
+    targets = rng.permutation(np.repeat(np.arange(n_hidden), 2))[:n_input_edges]
+    m01[rng.choice(n_in, size=n_input_edges, replace=False), targets] = True
+    m12 = np.zeros((n_hidden, n_out), dtype=bool)
+    m12.flat[rng.choice(m12.size, size=n_output_edges, replace=False)] = True
+    m02 = np.zeros((n_in, n_out), dtype=bool)
+    skip_sources = rng.choice(n_in, size=skip_edges, replace=False)
+    m02[skip_sources, rng.integers(n_out, size=skip_edges)] = True
+    return GafStructure(ADULT_SIZES, ((0, 1, m01), (0, 2, m02), (1, 2, m12)))
+
+
+@pytest.mark.parametrize("batch_size", [0, 16])
+def test_train_population_equals_training_each_structure_alone_on_adult_like_stacks(batch_size):
+    rng = np.random.default_rng(batch_size + 5)
+    x, y = adult_like_task(seed=21, n=160)
+    xv, yv = adult_like_task(seed=22, n=60)
+    structures = [sparse_adult_structure(rng, 10, 6) for _ in range(5)]  # many dead edges
+    structures.append(sparse_adult_structure(rng, 4, 12))  # mostly live hidden arguments
+    structures.append(sparse_adult_structure(rng, 0, 0))  # no edges at all
+    structures.append(sparse_adult_structure(rng, 6, 3, skip_edges=2))  # a skip block
+    # a live hidden argument with outgoing but no incoming edges
+    lone = sparse_adult_structure(rng, 3, 0)
+    lone_hidden = int(np.flatnonzero(~lone.blocks[0][2].any(axis=0))[0])
+    lone.blocks[2][2][lone_hidden, 1] = True
+    structures.append(lone)
+    seeds = [int(s) for s in rng.integers(1 << 40, size=len(structures))]
+    config = TrainConfig(learning_rate=0.1, max_epochs=12, es_patience=3,
+                         es_tolerance=1e-3, batch_size=batch_size)
+    together = assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, seeds)
+    assert live_units(lone)[1][lone_hidden]
+    assert together[-1].net.biases[0][lone_hidden] != 0.0  # trained through its outgoing edge
+
+    # the logistic baseline's net: every input column live, trained alone
+    full = GafStructure.fully_connected((ADULT_SIZES[0], ADULT_SIZES[-1]))
+    assert_stack_trains_each_structure_alone([full], x, y, xv, yv, config, [seeds[0]])
+
+
+def test_accuracy_equals_argmax_of_the_full_forward_pass():
+    rng = np.random.default_rng(8)
+    x, y = adult_like_task(seed=23, n=200)
+    structures = [sparse_adult_structure(rng, 10, 6, skip_edges=e % 3) for e in range(6)]
+    structures.append(GafStructure.fully_connected(ADULT_SIZES))
+    varied = 0
+    for structure in structures:
+        weights = [rng.normal(0.0, 3.0, size=m.shape) for _, _, m in structure.blocks]
+        net = MaskedNet(structure, weights, [rng.normal(size=s) for s in structure.layer_sizes[1:]])
+        _, z = forward_pass(net.structure, net.weights, net.biases, x)
+        predicted = np.argmax(z, axis=1)
+        assert accuracy(net, x, y) == float(np.mean(predicted == y))
+        varied += len(set(predicted.tolist())) > 1
+    assert varied >= 4  # the inputs move most predictions, so the columns matter
 
 
 def test_train_population_rejects_mixed_layouts():
@@ -474,6 +567,8 @@ def test_config_validation():
         TrainConfig(learning_rate=0.1, es_patience=0)
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=0.1, es_tolerance=-1.0)
+    with pytest.raises(ConfigError, match="es_tolerance"):
+        TrainConfig(learning_rate=0.1, es_tolerance=float("nan"))
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=0.1, batch_size=-1)
 
