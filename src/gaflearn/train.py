@@ -20,11 +20,20 @@ at most 15 terms wide (Iris's whole input layer is 12 wide), but not in
 some output columns of wider ones: in a dense 118-wide input product,
 hidden columns 8-11 may round differently once three or more live inputs
 are active together.
+
+A stack's parameters live in one C-ordered (P, n_params) slab, each row one
+net's compact weights and biases in turn; the stack's weight and bias
+arrays are views into it. Gradients, Adam's two moments and the best
+parameters seen are slabs of the same layout, so an Adam step, the
+best-parameter copy and dropping stopped nets take one numpy call per slab,
+however many blocks a net has. Each view is C-ordered within a net, so BLAS
+sees the same matrices as before and every result keeps its bits.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -176,6 +185,44 @@ def _scatter(net: MaskedNet, params: list[np.ndarray], units: list[np.ndarray]) 
         b[u] = p[: len(u)]
 
 
+def _slab(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """(P, ...) arrays as one C-ordered (P, n) slab: each row holds a net's
+    entries of every array in turn, each flattened in C order."""
+    return np.concatenate([a.reshape(len(a), -1) for a in arrays], axis=1)
+
+
+def _views(slab: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """The arrays of :func:`_slab` again, as views into it: its last axis cut
+    in order into the given per-net shapes. ``slab`` may be one net's row.
+
+    Each view keeps the slab's row stride and is C-ordered within a net, so
+    BLAS sees each net's matrices as it would in a (P, ...) array of its own.
+    """
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(slab[..., start : start + size].reshape(slab.shape[:-1] + shape))
+        start += size
+    return views
+
+
+def _bind(
+    stack: MaskedNet,
+    params: np.ndarray,
+    masks: np.ndarray,
+    grads: np.ndarray,
+    shapes: Sequence[tuple[int, ...]],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Point the stack's weights, biases and masks at views of their slabs;
+    return the (weight, bias) gradient views of ``grads``."""
+    n_weights = len(stack.structure.blocks)
+    views = _views(params, shapes)
+    stack.weights, stack.biases = views[:n_weights], views[n_weights:]
+    stack.masks = _views(masks, shapes[:n_weights])
+    views = _views(grads, shapes)
+    return views[:n_weights], views[n_weights:]
+
+
 def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """x's columns ``cols``, C-ordered like x (BLAS may round differently on
     another layout); x itself when cols is every column in order, as for a
@@ -185,11 +232,41 @@ def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take(x, cols, axis=1)
 
 
+def _check_data(layer_sizes: Sequence[int], *pairs: tuple[np.ndarray, np.ndarray]) -> None:
+    """Raise InputShapeError unless each (x, y) pair is an (n, inputs) matrix
+    and a vector of n class indices, both as ``layer_sizes`` has them.
+
+    Compact kernels read only the live input columns, and the training loop
+    indexes rows and labels without checking them, so a mismatch must be
+    caught here, before it could pass unseen or end in a bare IndexError.
+    """
+    n_in, n_classes = layer_sizes[0], layer_sizes[-1]
+    for x, y in pairs:
+        if x.ndim != 2 or x.shape[1] != n_in:
+            raise InputShapeError(f"expected (n, {n_in}) inputs, got shape {x.shape}")
+        if y.shape != x.shape[:1]:
+            raise InputShapeError(f"expected {x.shape[0]} labels, got shape {y.shape}")
+        if y.size and (y.min() < 0 or y.max() >= n_classes):
+            raise InputShapeError(f"labels must be class indices in [0, {n_classes})")
+
+
 def accuracy(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> float:
     """Share of rows whose argmax class is y, computed on the net's live support."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    _check_data(net.structure.layer_sizes, (x, y))
     units = _live_support([net])
-    _, z = _compact(MaskedNet.stack([net]), units).forward(_columns(np.asarray(x), units[0][0]))
-    return float(np.mean(np.argmax(z[0], axis=-1) == np.asarray(y)))
+    _, z = _compact(MaskedNet.stack([net]), units).forward(_columns(x, units[0][0]))
+    return float(np.mean(np.argmax(z[0], axis=-1) == y))
+
+
+def _pick(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``z[..., row, y[..., row]]`` for every row: one flat-index gather.
+
+    ``y`` holds a class per row of z's last two axes, shared by a stack's
+    nets or one row per net; it is not checked.
+    """
+    starts = np.arange(0, z.size, z.shape[-1]).reshape(z.shape[:-1])
+    return np.take(z, starts + y)
 
 
 def _cross_entropy(z: np.ndarray, y: np.ndarray, lse: np.ndarray) -> float | np.ndarray:
@@ -201,9 +278,15 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray, lse: np.ndarray) -> float | np.
     y = np.asarray(y, dtype=np.int64)
     if y.shape not in (z.shape[-2:-1], z.shape[:-1]) or (y < 0).any() or (y >= z.shape[-1]).any():
         raise InputShapeError("labels must be class indices matching the batch")
-    labels = y.reshape((1,) * (z.ndim - 1 - y.ndim) + y.shape + (1,))
-    picked = np.take_along_axis(z, labels, axis=-1)[..., 0]
-    loss = np.mean(lse - picked, axis=-1)
+    return _unchecked_cross_entropy(z, y, lse)
+
+
+def _unchecked_cross_entropy(
+    z: np.ndarray, y: np.ndarray, lse: np.ndarray
+) -> float | np.ndarray:
+    """:func:`_cross_entropy` without its label check, for an int array y
+    that the caller has checked against z."""
+    loss = np.mean(lse - _pick(z, y), axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -215,23 +298,33 @@ def forward_loss(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> tuple[float, n
 
 
 def gradients(
-    net: MaskedNet, x: np.ndarray, y: np.ndarray
+    net: MaskedNet,
+    x: np.ndarray,
+    y: np.ndarray,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Analytic gradients of the mean cross-entropy.
 
     Returns (loss, per-block weight gradients, per-layer bias gradients).
     Gradient entries at masked-out positions are exactly zero.
+
+    ``out``, as train_population passes it, holds zeroed (weight, bias)
+    arrays to write into; a layer with no path to the loss leaves its
+    entries as they are. With ``out`` the labels are not checked:
+    train_population checks them once per stack. Without it, y is checked
+    and new arrays are returned.
     """
     activations, z = net.forward(x)
     lse, dz = log_sum_exp_and_softmax(z)
-    loss = _cross_entropy(z, y, lse)
+    loss = _cross_entropy(z, y, lse) if out is None else _unchecked_cross_entropy(z, y, lse)
     dz -= np.asarray(y)[..., None] == np.arange(z.shape[-1])  # one-hot labels
     dz /= z.shape[-2]
 
     n_layers = len(net.structure.layer_sizes)
     d_strength: list[np.ndarray | None] = [None] * n_layers
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
+    if out is None:
+        out = [np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]
+    grad_w, grad_b = out
     for t in range(n_layers - 1, 0, -1):
         if t < n_layers - 1:
             dz = d_strength[t]
@@ -239,7 +332,7 @@ def gradients(
                 continue  # no path from this layer to the loss
             dz *= activations[t]
             dz *= 1.0 - activations[t]
-        grad_b[t - 1] = dz.sum(axis=-2)
+        np.sum(dz, axis=-2, out=grad_b[t - 1])
         for bi, ((src, dst, _), w, mask) in enumerate(
             zip(net.structure.blocks, net.weights, net.masks)
         ):
@@ -337,6 +430,9 @@ def train_population(
     leaves, its best compact parameters are scattered back into its
     initialized full-shape net. A dead edge would get an exactly-zero
     gradient, so it keeps its initial draw, and a dead hidden bias stays 0.
+    Parameters, gradients, Adam's moments and the best parameters are one
+    (P, n_params) slab each (see the module docstring). Inputs and labels
+    are checked once, here; the steps do not check them again.
     Each result is bit-identical to training its full structure alone with
     the full-shape kernels wherever BLAS adds each product's terms in index
     order (see the module docstring). A train or validation loss that is
@@ -355,14 +451,23 @@ def train_population(
     if not structures:
         return []
 
+    _check_data(structures[0].layer_sizes, (x_train, y_train), (x_val, y_val))
+
     rngs = [np.random.default_rng(seed) for seed in seeds]
     nets = [MaskedNet.initialize(st, rng) for st, rng in zip(structures, rngs)]
     histories = [TrainingHistory() for _ in nets]
     results: dict[int, TrainResult] = {}
     units = _live_support(nets)
     stack = _compact(MaskedNet.stack(nets), units)
-    state = AdamState.zeros_like(stack.weights + stack.biases)
-    best = [p.copy() for p in stack.weights + stack.biases]
+    # one C-ordered (P, n_params) slab each for the parameters, their masks,
+    # gradients and best values, and Adam's moments; the stack's weights,
+    # biases and masks and the gradient arrays are views into the slabs
+    shapes = [a.shape[1:] for a in stack.weights + stack.biases]
+    params, masks = _slab(stack.weights + stack.biases), _slab(stack.masks)
+    grads = np.zeros_like(params)
+    grad_views = _bind(stack, params, masks, grads, shapes)
+    state = AdamState.zeros_like([params])
+    best = params.copy()
     # per stacked individual: its index i, best loss, best epoch, stall count
     active = np.arange(len(nets))
     best_loss = np.full(len(nets), np.inf)
@@ -383,7 +488,6 @@ def train_population(
         if batch_size == n:
             x_live = x_train[np.arange(n)[:, None], cols[:, None, :]]
     for epoch in range(1, config.max_epochs + 1):
-        params = stack.weights + stack.biases
         if batch_size < n:
             order = np.stack([rngs[i].permutation(n) for i in active])
         batch_losses = np.empty((len(active), len(starts)))
@@ -391,15 +495,15 @@ def train_population(
             if batch_size < n:
                 idx = order[:, start : start + batch_size]
                 x = x_live[idx] if shared else x_train[idx[:, :, None], cols[:, None, :]]
-                loss, grad_w, grad_b = gradients(stack, x, y_train[idx])
+                loss, _, _ = gradients(stack, x, y_train[idx], out=grad_views)
             else:
-                loss, grad_w, grad_b = gradients(stack, x_live, y_train)
+                loss, _, _ = gradients(stack, x_live, y_train, out=grad_views)
             batch_losses[:, b] = loss
             step = (epoch - 1) * len(starts) + b + 1
-            adam_step(params, grad_w + grad_b, state, step, config.learning_rate)
+            adam_step([params], [grads], state, step, config.learning_rate)
         train_loss = batch_losses.mean(axis=1)
         _, z = stack.forward(x_val)  # one pass gives validation loss and accuracy
-        val_loss = _cross_entropy(z, y_val, log_sum_exp(z))
+        val_loss = _unchecked_cross_entropy(z, y_val, log_sum_exp(z))
         val_accuracy = np.mean(np.argmax(z, axis=-1) == y_val, axis=-1)
 
         finite = np.isfinite(train_loss) & np.isfinite(val_loss)
@@ -421,13 +525,12 @@ def train_population(
         improved = val_loss < best_loss
         best_loss = np.where(improved, val_loss, best_loss)
         best_epoch = np.where(improved, epoch, best_epoch)
-        for kept, p in zip(best, params):
-            np.copyto(kept, p, where=improved.reshape((-1,) + (1,) * (p.ndim - 1)))
+        np.copyto(best, params, where=improved[:, None])
 
         stopped = (stall >= config.es_patience) | (epoch == config.max_epochs)
         for k in np.flatnonzero(stopped).tolist():
             i = int(active[k])
-            _scatter(nets[i], [p[k] for p in best], [u[k] for u in units])
+            _scatter(nets[i], _views(best[k], shapes), [u[k] for u in units])
             h = histories[i]
             results[i] = TrainResult(nets[i], h, len(h.val_loss), int(best_epoch[k]), seeds[i])
         if stopped.all():
@@ -437,12 +540,12 @@ def train_population(
             active, best_loss, best_epoch, stall = (
                 a[keep] for a in (active, best_loss, best_epoch, stall)
             )
-            units, best, state.m, state.v = (
-                [a[keep] for a in arrays] for arrays in (units, best, state.m, state.v)
+            units = [u[keep] for u in units]
+            params, masks, grads, best, m, v = (
+                a[keep] for a in (params, masks, grads, best, *state.m, *state.v)
             )
-            stack.weights, stack.biases, stack.masks = (
-                [a[keep] for a in arrays] for arrays in (stack.weights, stack.biases, stack.masks)
-            )
+            state = AdamState([m], [v])
+            grad_views = _bind(stack, params, masks, grads, shapes)
             cols = units[0]
             if not shared:  # per-net gathers lose the stopped nets' slices
                 x_val = x_val[keep]

@@ -1,9 +1,11 @@
 """Round-trip fidelity of model documents and DOT rendering conventions."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gaflearn.errors import ModelFormatError
 from gaflearn.graph import (
@@ -15,6 +17,7 @@ from gaflearn.graph import (
     output_distributions,
 )
 from gaflearn.model_io import from_json, to_dot, to_json
+from test_graph import layered_classifiers
 
 
 def sample_gaf(seed=0, sizes=(4, 3, 2)):
@@ -43,6 +46,26 @@ def test_round_trip_is_bit_identical():
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(25, 4))
     assert np.array_equal(output_distributions(back, x), output_distributions(gaf, x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(layered_classifiers())
+def test_round_trip_keeps_every_distribution_bit_and_the_text(drawn):
+    gaf, rng = drawn
+    # pin some base scores to exactly 0 and 1, whose log-odds are -inf and +inf
+    def pinned(arg):
+        u = rng.uniform()
+        if arg.layer_index == 0 or 0.2 <= u < 0.8:
+            return arg
+        return replace(arg, base_score=float(u >= 0.8))
+
+    layers = [[pinned(a) for a in layer] for layer in gaf.layers]
+    gaf = LayeredGaf(layers, gaf.edges, gaf.class_labels)
+    text = to_json(gaf, metadata={"seed": 3})
+    back, metadata = from_json(text)
+    batch = rng.uniform(size=(8, gaf.layer_sizes[0]))
+    assert np.array_equal(output_distributions(back, batch), output_distributions(gaf, batch))
+    assert to_json(back, metadata) == text
 
 
 def test_weights_survive_at_full_precision():

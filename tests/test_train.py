@@ -14,6 +14,9 @@ from gaflearn.train import (
     MaskedNet,
     TrainConfig,
     TrainingHistory,
+    _pick,
+    _slab,
+    _views,
     accuracy,
     adam_step,
     forward_loss,
@@ -22,7 +25,7 @@ from gaflearn.train import (
     train,
     train_population,
 )
-from gaflearn.util import log_sum_exp, log_sum_exp_and_softmax, softmax_rows
+from gaflearn.util import last_axis_sum, log_sum_exp, log_sum_exp_and_softmax, softmax_rows
 
 
 def zero_net(layer_sizes):
@@ -257,6 +260,64 @@ def test_shared_loss_and_softmax_equal_the_separate_formulas():
             expected = reference_softmax(z)
             assert same_floats(probs, expected), z
             assert same_floats(softmax_rows(z), expected), z
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_last_axis_sum_equals_numpy_sum_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0**-1074, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shape in [(60, width), (3, 20, width)]:
+            magnitudes = 10.0 ** rng.integers(-300, 300, size=shape)
+            for a in (
+                rng.choice(special, size=shape),
+                rng.normal(size=shape) * magnitudes,  # rounding shows any change of order
+                np.full(shape, -0.0),  # numpy's sum of only -0.0 terms is +0.0
+            ):
+                assert same_floats(last_axis_sum(a), a.sum(axis=-1, keepdims=True)), a
+            ties = rng.uniform(size=shape) < 0.5
+            expected = ties.sum(axis=-1, keepdims=True, dtype=np.float64)
+            assert same_floats(last_axis_sum(ties), expected)
+
+
+def test_flat_pick_equals_take_along_axis():
+    rng = np.random.default_rng(4)
+    for shape in [(7, 3), (4, 7, 3), (2, 5, 1), (3, 6, 12)]:
+        z = rng.normal(size=shape)
+        shared = rng.integers(shape[-1], size=shape[-2])  # one label per row for every net
+        per_net = rng.integers(shape[-1], size=shape[:-1])
+        for y in (shared, per_net):
+            labels = y.reshape((1,) * (z.ndim - 1 - y.ndim) + y.shape + (1,))
+            expected = np.take_along_axis(z, labels, axis=-1)[..., 0]
+            assert np.array_equal(_pick(z, y), expected)
+            assert np.array_equal(_pick(np.asfortranarray(z), y), expected)
+
+
+def test_adam_step_on_one_slab_equals_adam_step_on_each_array():
+    rng = np.random.default_rng(6)
+    arrays = [rng.normal(size=(5,) + shape) for shape in [(4, 3), (3, 2), (4, 2), (3,), (2,)]]
+    shapes = [a.shape[1:] for a in arrays]
+    slab = _slab(arrays)
+    views = _views(slab, shapes)
+    assert all(np.shares_memory(v, slab) and np.array_equal(v, a) for v, a in zip(views, arrays))
+    slab_state = AdamState.zeros_like([slab])
+    separate, state = [a.copy() for a in arrays], AdamState.zeros_like(arrays)
+    for t in range(1, 9):
+        grads = [rng.normal(size=a.shape) * (rng.uniform(size=a.shape) < 0.7) for a in separate]
+        adam_step([slab], [_slab(grads)], slab_state, t, 0.05)
+        adam_step(separate, grads, state, t, 0.05)
+        for got, expected in zip(views, separate):
+            assert got.tobytes() == expected.tobytes()
+        moments = _views(slab_state.m[0], shapes) + _views(slab_state.v[0], shapes)
+        for got, expected in zip(moments, state.m + state.v):
+            assert got.tobytes() == expected.tobytes()
+        if t in (3, 6):  # drop nets as train_population does when they stop
+            keep = np.array([0, 2]) if t == 6 else np.array([0, 1, 3, 4])
+            slab = slab[keep]
+            slab_state = AdamState([slab_state.m[0][keep]], [slab_state.v[0][keep]])
+            views = _views(slab, shapes)
+            separate = [a[keep] for a in separate]
+            state = AdamState([m[keep] for m in state.m], [v[keep] for v in state.v])
 
 
 def test_adam_first_step_moves_by_learning_rate():
@@ -547,6 +608,57 @@ def test_masked_positions_stay_zero_through_training():
     assert (result.net.weights[1][~mask12] == 0.0).all()
     _, grad_w, _ = gradients(result.net, x, y)
     assert (grad_w[0][~mask01] == 0.0).all()
+
+
+def one_live_column_structure():
+    """A 3-input net whose only live input column is 0: the compact kernels
+    read that column alone, so a wrong input width cannot show in a product."""
+    m01 = np.array([[1, 1], [0, 0], [0, 0]], dtype=bool)
+    return GafStructure((3, 2, 2), ((0, 1, m01), (1, 2, np.ones((2, 2), dtype=bool))))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["wide x_train", "short y_train", "short minibatch y_train", "narrow x_val",
+     "short y_val", "label too large", "negative label", "1-D x_train"],
+)
+def test_train_rejects_mismatched_inputs_and_labels(case):
+    x, y = noisy_task(n=20)
+    x = x[:, :3]
+    data = {"x": x, "y": y, "xv": x[:8], "yv": y[:8]}
+    batch_size = 0
+    if case == "wide x_train":
+        data["x"] = np.ones((20, 4))
+    elif case == "short y_train":
+        data["y"] = y[:-1]
+    elif case == "short minibatch y_train":
+        data["y"], batch_size = y[:-1], 8
+    elif case == "narrow x_val":
+        data["xv"] = x[:8, :2]
+    elif case == "short y_val":
+        data["yv"] = y[:7]
+    elif case == "label too large":
+        data["y"] = np.where(np.arange(20) == 5, 2, y)
+    elif case == "negative label":
+        data["yv"] = np.where(np.arange(8) == 3, -1, y[:8])
+    else:
+        data["x"] = x[:, 0]
+    config = TrainConfig(learning_rate=0.1, max_epochs=3, batch_size=batch_size)
+    with pytest.raises(InputShapeError):
+        train(one_live_column_structure(), data["x"], data["y"], data["xv"], data["yv"], config)
+
+
+def test_accuracy_rejects_mismatched_inputs_and_labels():
+    structure = one_live_column_structure()
+    net = MaskedNet.initialize(structure, np.random.default_rng(0))
+    x, y = noisy_task(n=20)
+    assert 0.0 <= accuracy(net, x[:, :3], y) <= 1.0
+    with pytest.raises(InputShapeError, match=r"expected \(n, 3\) inputs, got shape \(20, 4\)"):
+        accuracy(net, x, y)
+    with pytest.raises(InputShapeError, match="labels"):
+        accuracy(net, x[:, :3], y[:-1])
+    with pytest.raises(InputShapeError, match="class indices"):
+        accuracy(net, x[:, :3], y + 1)
 
 
 def test_empty_splits_are_rejected():
