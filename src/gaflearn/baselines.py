@@ -77,12 +77,13 @@ def train_logistic(
     x_val: np.ndarray,
     y_val: np.ndarray,
     config: TrainConfig,
+    seed: int,
     input_names,
     class_labels,
 ) -> tuple[LayeredGaf, TrainResult]:
-    """Fully connected inputs-to-outputs graph with no hidden layer."""
+    """Fully connected inputs-to-outputs graph with no hidden layer, trained under seed."""
     structure = GafStructure.fully_connected((x_train.shape[1], len(class_labels)))
-    result = train(structure, x_train, y_train, x_val, y_val, config)
+    result = train(structure, x_train, y_train, x_val, y_val, config, seed)
     return to_classifier(result, input_names, class_labels), result
 
 

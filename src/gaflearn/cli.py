@@ -146,7 +146,11 @@ def _read_model(path_str: str):
     path = Path(path_str)
     if not path.is_file():
         raise ConfigError(f"model file not found: {path}")
-    return from_json(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return from_json(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -158,7 +162,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_export(args) -> int:
     gaf, metadata = _read_model(args.model)
-    if args.prune_below < 0:
+    if not args.prune_below >= 0:  # NaN fails too
         raise ConfigError(f"--prune-below must be >= 0, got {args.prune_below}")
     if args.format == "json":
         text = to_json(gaf, metadata if metadata else None)

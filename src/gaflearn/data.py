@@ -119,6 +119,8 @@ def load_schema(path: str | Path) -> DatasetSchema:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return schema_from_dict(raw)
 
 
@@ -135,10 +137,6 @@ class RawDataset:
     n_dropped: int
 
     @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(s.kind for s in self.specs)
-
-    @property
     def n_instances(self) -> int:
         return len(self.rows)
 
@@ -148,6 +146,15 @@ class RawDataset:
         return np.fromiter(map(index.__getitem__, self.labels), np.int64, self.n_instances)
 
 
+def _utf8_lines(fh, path: str | Path):
+    """The lines of a text file opened as UTF-8; ParseError naming the file
+    if it is not UTF-8 (it is decoded in chunks, so no line is named)."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
     """Parse a CSV under the schema; drops and counts rows with the missing marker.
 
@@ -155,7 +162,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
     the offending line (1-based, header is line 1) and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -82,13 +82,10 @@ class ExperimentConfig:
     hidden_layers: tuple[int, ...]
     tree_features: str  # "binarized" or "raw"
     ga: GaConfig  # seed 0; ga_config(seed) gives a run's
-    train: TrainConfig  # seed 0; train_config(seed) gives a run's
+    train: TrainConfig
 
     def ga_config(self, seed: int) -> GaConfig:
         return replace(self.ga, seed=seed)
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return replace(self.train, seed=seed)
 
     def as_dict(self) -> dict:
         """Every setting, defaults included, under its config-file key."""
@@ -190,6 +187,8 @@ def load_experiment_config(
         raise ConfigError(f"config file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"config path is a directory: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -460,7 +459,7 @@ def run_training_experiment(
             *run.validation,
             layer_sizes,
             config.ga_config(run.seed),
-            config.train_config(run.seed),
+            config.train,
         )
         # edges with no path to an output cannot move any prediction;
         # export the equivalent graph without them
@@ -528,7 +527,8 @@ def run_baseline_experiment(
         gaf, result = train_logistic(
             *run.train,
             *run.validation,
-            config.train_config(run.seed),
+            config.train,
+            run.seed,
             run.binarized.input_argument_names,
             run.binarized.label_names,
         )

@@ -13,9 +13,10 @@ import json
 from typing import Sequence
 
 from .errors import GafError, ModelFormatError
-from .graph import Argument, LayeredGaf, WeightedEdge
+from .graph import Argument, LayeredGaf, Polarity, WeightedEdge, edge_polarity
 
 FORMAT_VERSION = "gaf-model/1"
+_STYLES = {Polarity.SUPPORT: "dashed", Polarity.ATTACK: "solid", Polarity.NEUTRAL: "dotted"}
 
 
 def to_json(gaf: LayeredGaf, metadata: dict | None = None) -> str:
@@ -120,8 +121,8 @@ def to_dot(gaf: LayeredGaf, prune_below: float = 0.0) -> str:
     weights dotted; labels show the weight to 2 decimals. Edges with
     |weight| < prune_below are left out of the drawing only.
     """
-    if prune_below < 0:
-        raise ValueError("prune_below must be >= 0")
+    if not prune_below >= 0:  # NaN fails too
+        raise ValueError(f"prune_below must be >= 0, got {prune_below}")
     lines = ["digraph gaf {", "  rankdir=LR;", "  node [shape=box];"]
     for layer in gaf.layers:
         members = " ".join(
@@ -134,15 +135,9 @@ def to_dot(gaf: LayeredGaf, prune_below: float = 0.0) -> str:
     for edge in sorted(gaf.edges, key=lambda e: (position[e.source], position[e.target])):
         if abs(edge.weight) < prune_below:
             continue
-        if edge.weight > 0:
-            style = "dashed"
-        elif edge.weight < 0:
-            style = "solid"
-        else:
-            style = "dotted"
         lines.append(
             f"  {_quote(edge.source)} -> {_quote(edge.target)} "
-            f'[style={style}, label="{edge.weight:.2f}"];'
+            f'[style={_STYLES[edge_polarity(edge)]}, label="{edge.weight:.2f}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,19 +7,19 @@ bias), weights only where the structure has an edge. Optimization is Adam
 with early stopping on validation loss. Every kernel also runs on a stack
 of nets with a leading population axis, equal slice by slice to one net.
 
-Training and :func:`accuracy` work on each net's live support only: the
-units with a path to an output (:func:`graph.live_units`). A dead unit's
-strength reaches no output, so every term it would add to a product or a
-gradient is an exact zero. The live units of each layer are gathered into
-compact (P, k_src, k_dst) arrays, padded to the stack's widest with
+Training and its train-accuracy score work on each net's live support only:
+the units with a path to an output (:func:`graph.live_units`). A dead
+unit's strength reaches no output, so every term it would add to a product
+or a gradient is an exact zero. The live units of each layer are gathered
+into compact (P, k_src, k_dst) arrays, padded to the stack's widest with
 zero-weight, zero-mask slots, and each net's inputs are gathered on its
 live columns. A compact product adds the same nonzero terms in the same
 order as the full-shape one, so the two agree bit for bit wherever BLAS
-adds a product's terms in index order. OpenBLAS 0.3.31 does for products
-at most 15 terms wide (Iris's whole input layer is 12 wide), but not in
-some output columns of wider ones: in a dense 118-wide input product,
-hidden columns 8-11 may round differently once three or more live inputs
-are active together.
+adds a product's terms in index order. OpenBLAS 0.3.31 does for products at
+most 15 terms wide (Iris's whole input layer is 12 wide), but not in some
+output columns of wider ones: in a dense 118-wide input product, hidden
+columns 8-11 may round differently once three or more live inputs are
+active together.
 
 A stack's parameters live in one C-ordered (P, n_params) slab, each row one
 net's compact weights and biases in turn; the stack's weight and bias
@@ -55,7 +55,6 @@ class TrainConfig:
     es_patience: int = 5
     es_tolerance: float = 1e-4
     batch_size: int = 0  # 0 means full batch
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -250,15 +249,6 @@ def _check_data(layer_sizes: Sequence[int], *pairs: tuple[np.ndarray, np.ndarray
             raise InputShapeError(f"labels must be class indices in [0, {n_classes})")
 
 
-def accuracy(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> float:
-    """Share of rows whose argmax class is y, computed on the net's live support."""
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
-    _check_data(net.structure.layer_sizes, (x, y))
-    units = _live_support([net])
-    _, z = _compact(MaskedNet.stack([net]), units).forward(_columns(x, units[0][0]))
-    return float(np.mean(np.argmax(z[0], axis=-1) == y))
-
-
 def _pick(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``z[..., row, y[..., row]]`` for every row: one flat-index gather.
 
@@ -346,34 +336,25 @@ def gradients(
     return loss, grad_w, grad_b
 
 
-@dataclass
-class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
-
-
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
+    params: np.ndarray,
+    grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     t: int,
     learning_rate: float,
 ) -> None:
-    """One bias-corrected Adam update, in place on params and state. t >= 1."""
+    """One bias-corrected Adam update, in place on params and on the moments
+    m and v, all arrays of one shape. t >= 1."""
     if t < 1:
         raise ValueError("step counter t must be >= 1")
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(grads)
+    params -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -390,6 +371,7 @@ class TrainResult:
     epochs_run: int
     best_epoch: int
     seed: int
+    train_accuracy: float  # of the best parameters, on the training rows
 
 
 def train(
@@ -399,9 +381,10 @@ def train(
     x_val: np.ndarray,
     y_val: np.ndarray,
     config: TrainConfig,
+    seed: int = 0,
 ) -> TrainResult:
-    """Train one structure's weights and biases under config.seed; see train_population."""
-    return train_population([structure], x_train, y_train, x_val, y_val, config, [config.seed])[0]
+    """Train one structure's weights and biases under seed; see train_population."""
+    return train_population([structure], x_train, y_train, x_val, y_val, config, [seed])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises below
@@ -417,12 +400,12 @@ def train_population(
     """Train each structure with Adam under its own seed, all as one stack.
 
     Individual i draws its initial weights and each epoch's minibatch order
-    from ``default_rng(seeds[i])`` (``config.seed`` is ignored). Per-epoch
-    train loss is the mean of the batch losses, each taken before its
-    update. After every epoch the validation loss gates early stopping: the
-    best parameters seen are kept (strictly smaller loss wins, earliest
-    epoch on ties), and an individual leaves the stack once es_patience
-    consecutive epochs fail to beat its best by more than es_tolerance.
+    from ``default_rng(seeds[i])``. Per-epoch train loss is the mean of the
+    batch losses, each taken before its update. After every epoch the
+    validation loss gates early stopping: the best parameters seen are kept
+    (strictly smaller loss wins, earliest epoch on ties), and an individual
+    leaves the stack once es_patience consecutive epochs fail to beat its
+    best by more than es_tolerance.
 
     The stack holds only each net's live support: its live units per layer,
     padded to the stack's widest with zero-weight, zero-mask slots, and
@@ -430,6 +413,9 @@ def train_population(
     leaves, its best compact parameters are scattered back into its
     initialized full-shape net. A dead edge would get an exactly-zero
     gradient, so it keeps its initial draw, and a dead hidden bias stays 0.
+    Its train accuracy, the share of training rows whose argmax class is
+    the label, is scored then too, with its best compact parameters on its
+    live input columns, one net at a time.
     Parameters, gradients, Adam's moments and the best parameters are one
     (P, n_params) slab each (see the module docstring). Inputs and labels
     are checked once, here; the steps do not check them again.
@@ -463,10 +449,11 @@ def train_population(
     # gradients and best values, and Adam's moments; the stack's weights,
     # biases and masks and the gradient arrays are views into the slabs
     shapes = [a.shape[1:] for a in stack.weights + stack.biases]
+    n_weights = len(stack.weights)
     params, masks = _slab(stack.weights + stack.biases), _slab(stack.masks)
     grads = np.zeros_like(params)
     grad_views = _bind(stack, params, masks, grads, shapes)
-    state = AdamState.zeros_like([params])
+    m, v = np.zeros((2,) + params.shape)
     best = params.copy()
     # per stacked individual: its index i, best loss, best epoch, stall count
     active = np.arange(len(nets))
@@ -500,7 +487,7 @@ def train_population(
                 loss, _, _ = gradients(stack, x_live, y_train, out=grad_views)
             batch_losses[:, b] = loss
             step = (epoch - 1) * len(starts) + b + 1
-            adam_step([params], [grads], state, step, config.learning_rate)
+            adam_step(params, grads, m, v, step, config.learning_rate)
         train_loss = batch_losses.mean(axis=1)
         _, z = stack.forward(x_val)  # one pass gives validation loss and accuracy
         val_loss = _unchecked_cross_entropy(z, y_val, log_sum_exp(z))
@@ -530,9 +517,19 @@ def train_population(
         stopped = (stall >= config.es_patience) | (epoch == config.max_epochs)
         for k in np.flatnonzero(stopped).tolist():
             i = int(active[k])
-            _scatter(nets[i], _views(best[k], shapes), [u[k] for u in units])
+            compact = _views(best[k], shapes)
+            # one net's inputs at a time: never a (P, n, k) gather of all rows
+            if shared:
+                x = x_live
+            else:
+                x = x_live[k] if batch_size == n else np.take(x_train, cols[k], axis=1)
+            _, z = forward_pass(stack.structure, compact[:n_weights], compact[n_weights:], x)
+            _scatter(nets[i], compact, [u[k] for u in units])
             h = histories[i]
-            results[i] = TrainResult(nets[i], h, len(h.val_loss), int(best_epoch[k]), seeds[i])
+            results[i] = TrainResult(
+                nets[i], h, len(h.val_loss), int(best_epoch[k]), seeds[i],
+                float(np.mean(np.argmax(z, axis=-1) == y_train)),
+            )
         if stopped.all():
             break
         if stopped.any():  # drop the stopped individuals from the stack
@@ -542,9 +539,8 @@ def train_population(
             )
             units = [u[keep] for u in units]
             params, masks, grads, best, m, v = (
-                a[keep] for a in (params, masks, grads, best, *state.m, *state.v)
+                a[keep] for a in (params, masks, grads, best, m, v)
             )
-            state = AdamState([m], [v])
             grad_views = _bind(stack, params, masks, grads, shapes)
             cols = units[0]
             if not shared:  # per-net gathers lose the stopped nets' slices

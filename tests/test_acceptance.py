@@ -176,7 +176,7 @@ def test_criterion_3_ga_operator_properties():
         ga_tolerance=0.0,
         seed=5,
     )
-    train_cfg = TrainConfig(learning_rate=0.5, max_epochs=40, es_patience=3, seed=0)
+    train_cfg = TrainConfig(learning_rate=0.5, max_epochs=40, es_patience=3)
     best, log = evolve(x[:40], y[:40], x[40:50], y[40:50], (3, 4, 2), ga_cfg, train_cfg)
     monotone = all(
         log[i + 1].best_fitness >= log[i].best_fitness for i in range(len(log) - 1)
@@ -253,7 +253,7 @@ def test_criterion_4_fitness_extremes():
         ga_tolerance=0.0,
         seed=41,
     )
-    train_cfg = TrainConfig(learning_rate=0.03, max_epochs=500, es_patience=5, seed=0)
+    train_cfg = TrainConfig(learning_rate=0.03, max_epochs=500, es_patience=5)
     best, log = evolve(
         x_train, y_train, x_val, y_val, (n_in, 2, n_out), ga_cfg, train_cfg
     )

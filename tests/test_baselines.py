@@ -148,7 +148,7 @@ def test_logistic_baseline_solves_separable_toy():
     x = np.array([[0.0, 1.0], [1.0, 0.0]] * 6)
     y = x[:, 0].astype(np.int64)
     config = TrainConfig(learning_rate=0.2, max_epochs=200, es_patience=200, es_tolerance=0.0)
-    gaf, result = train_logistic(x, y, x, y, config, ["f0", "f1"], ["n", "p"])
+    gaf, result = train_logistic(x, y, x, y, config, 0, ["f0", "f1"], ["n", "p"])
     assert len(gaf.layers) == 2  # no hidden layer
     assert gaf.connection_count() == 2 * 2
     assert result.epochs_run == len(result.history.val_loss) == 200
@@ -161,6 +161,6 @@ def test_logistic_baseline_is_the_same_code_path_as_a_flat_graph():
     x = rng.integers(0, 2, size=(40, 5)).astype(float)
     y = rng.integers(0, 3, size=40)
     config = TrainConfig(learning_rate=0.1, max_epochs=30, es_patience=30, es_tolerance=0.0)
-    gaf, _ = train_logistic(x, y, x, y, config, [f"f{i}" for i in range(5)], ["a", "b", "c"])
+    gaf, _ = train_logistic(x, y, x, y, config, 0, [f"f{i}" for i in range(5)], ["a", "b", "c"])
     net = MaskedNet.from_gaf(gaf)
     assert np.array_equal(net.predict_proba(x), output_distributions(gaf, x))

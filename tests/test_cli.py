@@ -151,6 +151,39 @@ def test_export_rejects_corrupt_model(tmp_path, capsys):
     assert run_cli("export", "--model", bad) == 2
 
 
+@pytest.mark.parametrize("prune_below", ["-1", "nan"])
+def test_export_rejects_bad_prune_below(tmp_path, capsys, prune_below):
+    model = trained_model_path(tmp_path)
+    capsys.readouterr()
+    assert run_cli("export", "--model", model, "--prune-below", prune_below) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --prune-below must be >= 0, got {float(prune_below)}"
+    ]
+
+
+@pytest.mark.parametrize("which", ["config", "schema", "dataset", "model"])
+def test_non_utf8_input_exits_2_with_one_line_naming_the_file(tmp_path, capsys, which):
+    write_toy_dataset(tmp_path)
+    cfg = write_toy_config(tmp_path, runs=1)
+    path = {
+        "config": cfg,
+        "schema": tmp_path / "toy.schema.json",
+        "dataset": tmp_path / "toy.csv",
+        "model": tmp_path / "model.json",
+    }[which]
+    text = path.read_bytes() if path.exists() else b"{}"
+    path.write_bytes(b"\xff\xfe" + text)  # a UTF-16 byte-order mark
+    if which == "model":
+        code = run_cli("export", "--model", path)
+    else:
+        code = run_cli("train", "--config", cfg, "--out", tmp_path / "out")
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path}: not UTF-8 text (invalid start byte)"]
+
+
 def test_run_semantics_trace(tmp_path, capsys):
     model = trained_model_path(tmp_path)
     capsys.readouterr()

@@ -71,7 +71,7 @@ def test_config_loader_resolves_paths_and_defaults(tmp_path):
     assert config.tree_features == "binarized"
     assert config.ga.lam == 0.1
     assert config.ga_config(5).seed == 5
-    assert config.train_config(9).learning_rate == 0.5
+    assert config.train.learning_rate == 0.5
 
 
 def test_config_overrides_win(tmp_path):

@@ -199,6 +199,9 @@ def test_dot_prune_below_hides_edges_but_not_model():
     assert pruned.count("->") == 2
     assert '"x2" -> "z"' not in pruned
     assert gaf.connection_count() == 3  # untouched
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="prune_below"):
+            to_dot(gaf, prune_below=bad)
 
 
 def test_dot_is_deterministic_and_escapes_names():

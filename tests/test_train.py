@@ -1,23 +1,20 @@
 """Loss, gradients, Adam, and the training loop on hand-checkable cases."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from gaflearn.errors import ConfigError, GafError, InputShapeError
-from gaflearn.graph import GafStructure, forward_pass, live_units, output_distributions
+from gaflearn.graph import GafStructure, live_units, output_distributions
 from gaflearn.train import (
-    AdamState,
     MaskedNet,
     TrainConfig,
     TrainingHistory,
     _pick,
     _slab,
     _views,
-    accuracy,
     adam_step,
     forward_loss,
     gradients,
@@ -293,6 +290,17 @@ def test_flat_pick_equals_take_along_axis():
             assert np.array_equal(_pick(np.asfortranarray(z), y), expected)
 
 
+def adam_zeros(params):
+    """Zero first and second moments for each array of params."""
+    return [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+
+
+def adam_step_each(params, grads, moments, t, learning_rate):
+    """adam_step on each array of params in turn."""
+    for p, g, m, v in zip(params, grads, *moments):
+        adam_step(p, g, m, v, t, learning_rate)
+
+
 def test_adam_step_on_one_slab_equals_adam_step_on_each_array():
     rng = np.random.default_rng(6)
     arrays = [rng.normal(size=(5,) + shape) for shape in [(4, 3), (3, 2), (4, 2), (3,), (2,)]]
@@ -300,51 +308,48 @@ def test_adam_step_on_one_slab_equals_adam_step_on_each_array():
     slab = _slab(arrays)
     views = _views(slab, shapes)
     assert all(np.shares_memory(v, slab) and np.array_equal(v, a) for v, a in zip(views, arrays))
-    slab_state = AdamState.zeros_like([slab])
-    separate, state = [a.copy() for a in arrays], AdamState.zeros_like(arrays)
+    m, v = np.zeros_like(slab), np.zeros_like(slab)
+    separate, moments = [a.copy() for a in arrays], adam_zeros(arrays)
     for t in range(1, 9):
         grads = [rng.normal(size=a.shape) * (rng.uniform(size=a.shape) < 0.7) for a in separate]
-        adam_step([slab], [_slab(grads)], slab_state, t, 0.05)
-        adam_step(separate, grads, state, t, 0.05)
+        adam_step(slab, _slab(grads), m, v, t, 0.05)
+        adam_step_each(separate, grads, moments, t, 0.05)
         for got, expected in zip(views, separate):
             assert got.tobytes() == expected.tobytes()
-        moments = _views(slab_state.m[0], shapes) + _views(slab_state.v[0], shapes)
-        for got, expected in zip(moments, state.m + state.v):
+        for got, expected in zip(_views(m, shapes) + _views(v, shapes), moments[0] + moments[1]):
             assert got.tobytes() == expected.tobytes()
         if t in (3, 6):  # drop nets as train_population does when they stop
             keep = np.array([0, 2]) if t == 6 else np.array([0, 1, 3, 4])
-            slab = slab[keep]
-            slab_state = AdamState([slab_state.m[0][keep]], [slab_state.v[0][keep]])
+            slab, m, v = slab[keep], m[keep], v[keep]
             views = _views(slab, shapes)
             separate = [a[keep] for a in separate]
-            state = AdamState([m[keep] for m in state.m], [v[keep] for v in state.v])
+            moments = tuple([a[keep] for a in moment] for moment in moments)
 
 
 def test_adam_first_step_moves_by_learning_rate():
-    params = [np.array([1.0, -2.0])]
-    grads = [np.array([0.5, -0.25])]
-    state = AdamState.zeros_like(params)
-    adam_step(params, grads, state, t=1, learning_rate=0.01)
+    params = np.array([1.0, -2.0])
+    grads = np.array([0.5, -0.25])
+    m, v = np.zeros(2), np.zeros(2)
+    adam_step(params, grads, m, v, t=1, learning_rate=0.01)
     # bias-corrected first step: lr * g / (|g| + eps), i.e. about lr * sign(g)
     expected = np.array(
         [1.0 - 0.01 * 0.5 / (0.5 + 1e-8), -2.0 + 0.01 * 0.25 / (0.25 + 1e-8)]
     )
-    assert np.allclose(params[0], expected, rtol=0, atol=1e-15)
+    assert np.allclose(params, expected, rtol=0, atol=1e-15)
 
 
 def test_adam_zero_gradient_is_a_no_op():
-    params = [np.array([3.0, -1.0])]
-    state = AdamState.zeros_like(params)
-    adam_step(params, [np.zeros(2)], state, t=1, learning_rate=0.5)
-    assert np.array_equal(params[0], [3.0, -1.0])
+    params = np.array([3.0, -1.0])
+    adam_step(params, np.zeros(2), np.zeros(2), np.zeros(2), t=1, learning_rate=0.5)
+    assert np.array_equal(params, [3.0, -1.0])
 
 
 def test_adam_is_deterministic():
     def run():
         params = [np.array([[1.0, 2.0]]), np.array([0.5])]
-        state = AdamState.zeros_like(params)
+        moments = adam_zeros(params)
         for t in range(1, 6):
-            adam_step(params, [np.array([[0.3, -0.7]]), np.array([0.9])], state, t, 0.05)
+            adam_step_each(params, [np.array([[0.3, -0.7]]), np.array([0.9])], moments, t, 0.05)
         return params
 
     a, b = run(), run()
@@ -364,13 +369,13 @@ def three_class_task(seed, n):
     return x, y
 
 
-def reference_train(structure, x, y, xv, yv, config):
+def reference_train(structure, x, y, xv, yv, config, seed):
     """The per-structure training loop, written with the single-net kernels
     on the full-shape net."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     net = MaskedNet.initialize(structure, rng)
     params = net.weights + net.biases
-    state = AdamState.zeros_like(params)
+    moments = adam_zeros(params)
     n = x.shape[0]
     batch = config.batch_size if 0 < config.batch_size < n else n
     history = TrainingHistory()
@@ -383,7 +388,7 @@ def reference_train(structure, x, y, xv, yv, config):
             loss, grad_w, grad_b = gradients(net, x[idx], y[idx])
             losses.append(loss)
             step += 1
-            adam_step(params, grad_w + grad_b, state, step, config.learning_rate)
+            adam_step_each(params, grad_w + grad_b, moments, step, config.learning_rate)
         val_loss, _ = forward_loss(net, xv, yv)
         history.train_loss.append(float(np.mean(losses)))
         history.val_loss.append(val_loss)
@@ -400,13 +405,13 @@ def reference_train(structure, x, y, xv, yv, config):
 
 def assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, seeds):
     """train_population equals train and the dense reference_train, bit for bit,
+    scores each net's train accuracy as the reference net's predictions do,
     and leaves every dead edge at its initial draw and every dead hidden bias at 0."""
     together = train_population(structures, x, y, xv, yv, config, seeds)
+    varied = 0
     for structure, seed, result in zip(structures, seeds, together):
-        alone = train(structure, x, y, xv, yv, replace(config, seed=seed))
-        net, history, best_epoch = reference_train(
-            structure, x, y, xv, yv, replace(config, seed=seed)
-        )
+        alone = train(structure, x, y, xv, yv, config, seed)
+        net, history, best_epoch = reference_train(structure, x, y, xv, yv, config, seed)
         for other in (alone.net, net):
             for p, q in zip(result.net.weights + result.net.biases, other.weights + other.biases):
                 assert np.array_equal(p, q)
@@ -414,6 +419,9 @@ def assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, s
         assert result.epochs_run == alone.epochs_run == len(history.val_loss)
         assert result.best_epoch == alone.best_epoch == best_epoch
         assert result.seed == alone.seed == seed
+        predicted = net.predict(x)
+        assert result.train_accuracy == alone.train_accuracy == float(np.mean(predicted == y))
+        varied += len(set(predicted.tolist())) > 1
 
         initial = MaskedNet.initialize(structure, np.random.default_rng(seed))
         live = live_units(structure)
@@ -423,6 +431,7 @@ def assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, s
             assert w[dead].tobytes() == w0[dead].tobytes()
         for b, alive in zip(result.net.biases[:-1], live[1:-1]):
             assert (b[~alive] == 0.0).all()
+    assert varied  # some nets' predictions move with the inputs, so the scoring is tested
     return together
 
 
@@ -507,22 +516,6 @@ def test_train_population_equals_training_each_structure_alone_on_adult_like_sta
     assert_stack_trains_each_structure_alone([full], x, y, xv, yv, config, [seeds[0]])
 
 
-def test_accuracy_equals_argmax_of_the_full_forward_pass():
-    rng = np.random.default_rng(8)
-    x, y = adult_like_task(seed=23, n=200)
-    structures = [sparse_adult_structure(rng, 10, 6, skip_edges=e % 3) for e in range(6)]
-    structures.append(GafStructure.fully_connected(ADULT_SIZES))
-    varied = 0
-    for structure in structures:
-        weights = [rng.normal(0.0, 3.0, size=m.shape) for _, _, m in structure.blocks]
-        net = MaskedNet(structure, weights, [rng.normal(size=s) for s in structure.layer_sizes[1:]])
-        _, z = forward_pass(net.structure, net.weights, net.biases, x)
-        predicted = np.argmax(z, axis=1)
-        assert accuracy(net, x, y) == float(np.mean(predicted == y))
-        varied += len(set(predicted.tolist())) > 1
-    assert varied >= 4  # the inputs move most predictions, so the columns matter
-
-
 def test_train_population_rejects_mixed_layouts():
     x, y = separable_toy()
     config = TrainConfig(learning_rate=0.1, max_epochs=2)
@@ -546,7 +539,7 @@ def test_training_solves_separable_toy_without_hidden_layer():
     structure = GafStructure.fully_connected([2, 2])
     config = TrainConfig(learning_rate=0.1, max_epochs=200, es_patience=200, es_tolerance=0.0)
     result = train(structure, x, y, x, y, config)
-    assert accuracy(result.net, x, y) == 1.0
+    assert result.train_accuracy == 1.0
 
 
 def test_immediate_early_stop_runs_exactly_two_epochs():
@@ -586,14 +579,12 @@ def test_training_is_deterministic_under_seed():
     xv, yv = noisy_task(seed=5, n=20)
     structure = GafStructure.fully_connected([4, 3, 2])
     config = TrainConfig(learning_rate=0.1, max_epochs=30, es_patience=30, es_tolerance=0.0,
-                         batch_size=16, seed=99)
-    a = train(structure, x, y, xv, yv, config)
-    b = train(structure, x, y, xv, yv, config)
+                         batch_size=16)
+    a = train(structure, x, y, xv, yv, config, 99)
+    b = train(structure, x, y, xv, yv, config, 99)
     assert a.history.val_loss == b.history.val_loss
     assert all(np.array_equal(wa, wb) for wa, wb in zip(a.net.weights, b.net.weights))
-    c = train(structure, x, y, xv, yv, TrainConfig(
-        learning_rate=0.1, max_epochs=30, es_patience=30, es_tolerance=0.0,
-        batch_size=16, seed=100))
+    c = train(structure, x, y, xv, yv, config, 100)
     assert a.history.train_loss[0] != c.history.train_loss[0]
 
 
@@ -646,19 +637,6 @@ def test_train_rejects_mismatched_inputs_and_labels(case):
     config = TrainConfig(learning_rate=0.1, max_epochs=3, batch_size=batch_size)
     with pytest.raises(InputShapeError):
         train(one_live_column_structure(), data["x"], data["y"], data["xv"], data["yv"], config)
-
-
-def test_accuracy_rejects_mismatched_inputs_and_labels():
-    structure = one_live_column_structure()
-    net = MaskedNet.initialize(structure, np.random.default_rng(0))
-    x, y = noisy_task(n=20)
-    assert 0.0 <= accuracy(net, x[:, :3], y) <= 1.0
-    with pytest.raises(InputShapeError, match=r"expected \(n, 3\) inputs, got shape \(20, 4\)"):
-        accuracy(net, x, y)
-    with pytest.raises(InputShapeError, match="labels"):
-        accuracy(net, x[:, :3], y[:-1])
-    with pytest.raises(InputShapeError, match="class indices"):
-        accuracy(net, x[:, :3], y + 1)
 
 
 def test_empty_splits_are_rejected():
