@@ -150,7 +150,10 @@ def _read_model(path_str: str):
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return from_json(text)
+    try:
+        return from_json(text)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -29,7 +29,6 @@ from .data import (
 )
 from .errors import ConfigError
 from .ga import GaConfig, GenerationStats, evolve
-from .graph import prune_inert_edges
 from .model_io import to_json
 from .train import MaskedNet, TrainConfig, to_classifier
 from .util import derive_seed, write_text_atomic
@@ -461,11 +460,7 @@ def run_training_experiment(
             config.ga_config(run.seed),
             config.train,
         )
-        # edges with no path to an output cannot move any prediction;
-        # export the equivalent graph without them
-        gaf = prune_inert_edges(
-            to_classifier(best.result, binz.input_argument_names, binz.label_names)
-        )
+        gaf = to_classifier(best.result, binz.input_argument_names, binz.label_names)
         n_connections = gaf.connection_count()
         generations_run = log[-1].generation
 
@@ -486,7 +481,6 @@ def run_training_experiment(
                 "test_precision_macro": metrics.macro_precision,
                 "test_recall_macro": metrics.macro_recall,
                 "n_connections": n_connections,
-                "searched_connections": best.n_connections,
                 "n_possible": best.n_possible,
                 "generations_run": generations_run,
                 "epochs_run": best.result.epochs_run,

@@ -8,7 +8,7 @@ layer sizes. Each individual is evaluated by training its weights
 sparsity: f = (1-lambda)*accuracy + lambda*(N_poss-N_conn)/N_poss.
 Selection is q-tournament, recombination k-point crossover, mutation
 per-bit flips, replacement elitist. Everything is deterministic under the
-config seed; each generation's structures train together as one stack.
+config seed; each generation's rows new to the run train as one stack.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CodecError, ConfigError, GafError, InputShapeError
-from .graph import GafStructure
+from .graph import GafStructure, live_units
 from .train import TrainConfig, TrainResult, train_population
 from .util import check_field_types, derive_seed
 
@@ -142,6 +142,8 @@ def init_population(
     for count, cap in zip(config.n_conn_init, capacities):
         if count > cap:
             raise ConfigError(f"initial connection count {count} exceeds block capacity {cap}")
+    if not 1 <= config.k < sum(capacities):  # fail before any training, not in crossover
+        raise ConfigError(f"k must lie in [1, {sum(capacities) - 1}], got {config.k}")
     if rng is None:
         rng = np.random.default_rng(derive_seed(config.seed, "init"))
     population = []
@@ -236,17 +238,24 @@ def elitist_replace(
 
 # -- fitness evaluation ----------------------------------------------------
 
+def live_row(bits: np.ndarray, layer_sizes: Sequence[int]) -> np.ndarray:
+    """The row without its edges into dead units (see :func:`graph.live_units`)."""
+    structure = decode(bits, layer_sizes)
+    live = live_units(structure)
+    kept = [(mask & live[dst]).ravel() for _, dst, mask in structure.blocks]
+    return np.concatenate(kept).astype(np.uint8)
+
+
 @dataclass
 class _Evaluator:
-    """Trains a generation's unique bit rows once each, together.
+    """Trains each live row once per run; rows new to the run train together.
 
-    Duplicate rows within a generation reuse the first occurrence's
-    trained result (and therefore its derived seed), so evaluation cost
-    scales with structural diversity. Each seed comes from the generation
-    and the first occurrence's index. A stacked training equals a lone one
-    wherever BLAS adds each product's terms in index order (OpenBLAS 0.3.31
-    does for products of at most 15 terms); there, results do not depend
-    on which structures train together.
+    Each row becomes its live row before it is trained, scored or kept, so
+    the fitness counts the edges the model exports. A row's seed comes from
+    the run seed and the row, and its result is kept for the rest of the
+    run. Results do not depend on which rows share a stack wherever BLAS
+    adds each product's terms in index order (OpenBLAS 0.3.31 does for
+    products of at most 15 terms).
     """
 
     data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y train; x, y val
@@ -254,22 +263,22 @@ class _Evaluator:
     master_seed: int
     lam: float
     train_config: TrainConfig
+    memo: dict[bytes, TrainResult] = field(default_factory=dict)
 
-    def evaluate(self, rows: list[np.ndarray], generation: int) -> list[EvaluatedIndividual]:
-        first_index: dict[bytes, int] = {}
-        for i, bits in enumerate(rows):
-            first_index.setdefault(bits.tobytes(), i)
+    def evaluate(self, rows: list[np.ndarray]) -> list[EvaluatedIndividual]:
+        rows = [live_row(bits, self.layer_sizes) for bits in rows]
+        fresh = {bits.tobytes(): bits for bits in rows if bits.tobytes() not in self.memo}
         results = train_population(
-            [decode(rows[i], self.layer_sizes) for i in first_index.values()],
+            [decode(bits, self.layer_sizes) for bits in fresh.values()],
             *self.data,
             self.train_config,
-            [derive_seed(self.master_seed, generation, i) for i in first_index.values()],
+            [derive_seed(self.master_seed, key.hex()) for key in fresh],
         )
-        outcomes = dict(zip(first_index, results))
+        self.memo.update(zip(fresh, results))
 
         population = []
         for bits in rows:
-            result = outcomes[bits.tobytes()]
+            result = self.memo[bits.tobytes()]
             n_conn = int(bits.sum())
             population.append(
                 EvaluatedIndividual(
@@ -297,10 +306,9 @@ def evolve(
 
     Stops early once the best fitness has improved by at most ga_tolerance
     for ga_patience consecutive generations; always returns the all-time
-    best individual plus the per-generation log. Weight-training seeds are
-    derived from (seed, generation, individual index), so the outcome does
-    not depend on which structures share a generation's training stack,
-    wherever BLAS adds each product's terms in index order (see _Evaluator).
+    best individual plus the per-generation log. Every population row is a
+    live row, trained once per call under a seed derived from (seed, row);
+    see _Evaluator for when training in stacks leaves results unchanged.
     """
     sizes = tuple(int(s) for s in layer_sizes)
     rng = np.random.default_rng(derive_seed(ga_config.seed, "ga"))
@@ -356,7 +364,7 @@ def _with_context(
     evaluator: _Evaluator, rows: list[np.ndarray], generation: int
 ) -> list[EvaluatedIndividual]:
     try:
-        return evaluator.evaluate(rows, generation)
+        return evaluator.evaluate(rows)
     except GafError as exc:
         raise type(exc)(f"generation {generation}: {exc}") from exc
 

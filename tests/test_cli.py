@@ -145,10 +145,39 @@ def test_export_missing_model_exits_2(tmp_path, capsys):
     assert "none.json" in capsys.readouterr().err
 
 
-def test_export_rejects_corrupt_model(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("export", "--model", bad) == 2
+def model_doc_with_unknown_edge_target():
+    argument = lambda i, layer, name: {"id": i, "name": name, "layer": layer, "base_score": 0.5}
+    return json.dumps({
+        "format": "gaf-model/1",
+        "layer_sizes": [1, 2],
+        "class_labels": ["no", "yes"],
+        "arguments": [
+            argument("a0_0", 0, "x"), argument("a1_0", 1, "no"), argument("a1_1", 1, "yes")
+        ],
+        "edges": [{"source": "a0_0", "target": "a9_9", "weight": 1.0}],
+    })
+
+
+@pytest.mark.parametrize("command", ["export", "run-semantics"])
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("{not json", "not valid JSON: "),
+        ('{"format": "gaf-model/1"}', "document: missing key 'layer_sizes'"),
+        (model_doc_with_unknown_edge_target(), "a9_9"),
+    ],
+    ids=["bad-json", "missing-key", "unknown-argument"],
+)
+def test_malformed_model_exits_2_with_one_line_naming_the_file(
+    tmp_path, capsys, command, text, detail
+):
+    model = tmp_path / "bad.json"
+    model.write_text(text)
+    extra = ["--instance", "1"] if command == "run-semantics" else []
+    assert run_cli(command, "--model", model, *extra) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {model}: "), lines
+    assert detail in lines[0], lines
 
 
 @pytest.mark.parametrize("prune_below", ["-1", "nan"])

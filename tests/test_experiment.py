@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import gaflearn.experiment as experiment
 from gaflearn.errors import ConfigError
 from gaflearn.experiment import (
     SUMMARY_COLUMNS,
@@ -13,6 +14,7 @@ from gaflearn.experiment import (
     run_seed_for,
     run_training_experiment,
 )
+from gaflearn.graph import prune_inert_edges
 from gaflearn.model_io import from_json
 from gaflearn.util import write_text_atomic
 
@@ -185,6 +187,33 @@ def test_training_experiment_writes_artifacts(tmp_path):
     gen_lines = (tmp_path / "out" / "run_00" / "generations.csv").read_text().splitlines()
     assert gen_lines[0].startswith("generation,")
     assert int(gen_lines[-1].split(",")[0]) == records[0].generations_run
+
+
+def test_exported_graph_is_the_searched_live_structure(tmp_path, monkeypatch):
+    bests = []
+    real = experiment.evolve
+
+    def recording(*args):
+        best, log = real(*args)
+        bests.append(best)
+        return best, log
+
+    monkeypatch.setattr(experiment, "evolve", recording)
+    write_toy_dataset(tmp_path)
+    config = load_experiment_config(
+        write_toy_config(
+            tmp_path, runs=3, seed=8, hidden_layers=[3], ga=dict(TOY_GA, n_conn_init=[4, 4])
+        ),
+        out=tmp_path / "out",
+    )
+    records = run_training_experiment(config)
+    for record, best in zip(records, bests, strict=True):
+        model = tmp_path / "out" / f"run_{record.run:02d}" / "model.json"
+        gaf, meta = from_json(model.read_text())
+        assert prune_inert_edges(gaf) is gaf
+        assert gaf.connection_count() == meta["n_connections"] == record.n_connections
+        assert record.n_connections == best.n_connections
+        assert "searched_connections" not in meta
 
 
 def test_training_experiment_learns_toy_rule(tmp_path):

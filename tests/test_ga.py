@@ -21,7 +21,9 @@ from gaflearn.ga import (
     k_point_crossover,
     tournament_select,
 )
-from gaflearn.train import TrainConfig
+from gaflearn.graph import live_units
+from gaflearn.train import TrainConfig, train
+from gaflearn.util import derive_seed
 
 
 def bits(s):
@@ -203,12 +205,15 @@ def test_operator_rows_decode_and_round_trip(sizes, seed, data):
     length = chromosome_length(sizes)
     n_conn_init = tuple(data.draw(st.integers(0, a * b)) for a, b in zip(sizes, sizes[1:]))
     rng = np.random.default_rng(seed)
-    config = iris_like_config(population_size=4, n_conn_init=n_conn_init)
+    if length == 1:  # no cut point, so no k is valid
+        with pytest.raises(ConfigError, match="k must lie"):
+            init_population(iris_like_config(n_conn_init=n_conn_init, k=1), sizes, rng)
+        return
+    k = data.draw(st.integers(1, length - 1))
+    config = iris_like_config(population_size=4, n_conn_init=n_conn_init, k=k)
     rows = init_population(config, sizes, rng)
-    if length > 1:
-        k = data.draw(st.integers(1, length - 1))
-        rate = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
-        rows.extend(k_point_crossover(rows[0], rows[1], k, rng, rate))
+    rate = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rows.extend(k_point_crossover(rows[0], rows[1], k, rng, rate))
     rows.extend(flip_mutate(r, data.draw(st.sampled_from([0.0, 0.1, 1.0])), rng) for r in rows[:])
     for bits in rows:
         assert bits.dtype == np.uint8 and bits.shape == (length,)
@@ -467,7 +472,164 @@ def test_duplicate_chromosomes_are_trained_once(monkeypatch):
         k=1,
     )
     _, log = evolve(x, y, x, y, (1, 2), config, toy_train_config())
-    # one unique row in generation 0 and one in generation 1
-    assert calls["n"] == 2
+    # one unique row in generation 0; generation 1's row is the same one
+    assert calls["n"] == 1
     pop_fitness = {s.best_fitness for s in log}
     assert len(pop_fitness) == 1
+
+
+def test_bad_k_fails_before_any_training(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("trained before k was checked")
+
+    monkeypatch.setattr(ga, "train_population", refuse)
+    x, y = toy_problem()
+    config = GaConfig(
+        population_size=4,
+        generations=2,
+        crossover_rate=0.9,
+        mutation_rate=0.1,
+        elitist_fraction=0.25,
+        lam=0.1,
+        n_conn_init=(1,),
+        k=2,  # a (1, 2) row has 2 bits, so one cut point
+    )
+    with pytest.raises(ConfigError, match=r"k must lie in \[1, 1\], got 2"):
+        evolve(x, y, x, y, (1, 2), config, toy_train_config())
+
+
+# -- live rows and the per-run memo ----------------------------------------
+
+
+def edge_row(structure):
+    return np.concatenate([mask.ravel() for _, _, mask in structure.blocks]).astype(np.uint8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4).map(tuple), data=st.data())
+def test_live_row_keeps_exactly_the_edges_into_live_units(sizes, data):
+    length = chromosome_length(sizes)
+    row = np.array(data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)))
+    row = row.astype(np.uint8)
+    live = ga.live_row(row, sizes)
+    assert live.dtype == np.uint8 and live.shape == row.shape
+    assert not (live & (1 - row)).any()  # a subset of the row's edges
+    assert np.array_equal(ga.live_row(live, sizes), live)  # a fixed point
+    structure = decode(live, sizes)
+    units = live_units(structure)
+    for _, dst, mask in structure.blocks:
+        assert not mask[:, ~units[dst]].any()
+    for kept, original in zip(units, live_units(decode(row, sizes))):
+        assert np.array_equal(kept, original)
+
+
+SMALL_SIZES = (3, 3, 2)
+
+
+def small_evaluator(seed):
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 2, size=(24, 3)).astype(np.float64)
+    y = (x[:, 0] + x[:, 1] >= 1).astype(np.int64)
+    return ga._Evaluator((x, y, x, y), SMALL_SIZES, seed, 0.1, toy_train_config())
+
+
+def record_trainings(monkeypatch):
+    """Patch ga.train_population to log each call's rows and seeds."""
+    calls = []
+    real = ga.train_population
+
+    def recording(structures, *args):
+        calls.append(([edge_row(s) for s in structures], list(args[-1])))
+        return real(structures, *args)
+
+    monkeypatch.setattr(ga, "train_population", recording)
+    return calls
+
+
+def assert_same_training(a, b):
+    for p, q in zip(a.net.weights + a.net.biases, b.net.weights + b.net.biases):
+        assert np.array_equal(p, q)
+    assert a.history == b.history
+    assert a.train_accuracy == b.train_accuracy
+
+
+def test_memo_hit_in_a_later_generation_equals_training_the_row_alone(monkeypatch):
+    calls = record_trainings(monkeypatch)
+    evaluator = small_evaluator(5)
+    # hidden argument 2 has two inputs but no path to an output: it is dead
+    row = bits("101" "000" "001" "10" "01" "00")
+    live = bits("100" "000" "000" "10" "01" "00")
+    other = bits("010" "100" "000" "01" "10" "00")
+    first = evaluator.evaluate([row, other])
+    assert np.array_equal(first[0].bits, live)
+    later = evaluator.evaluate([bits("110" "000" "000" "11" "00" "00"), row])
+    assert len(calls) == 2 and len(calls[1][0]) == 1
+    assert not any(np.array_equal(r, live) for r in calls[1][0])  # not trained again
+    hit = later[1]
+    assert np.array_equal(hit.bits, live) and hit.result is first[0].result
+    assert hit.n_connections == 3
+
+    x, y = evaluator.data[:2]
+    seed = derive_seed(5, live.tobytes().hex())
+    assert calls[0][1][0] == seed
+    assert_same_training(hit.result, train(decode(live, SMALL_SIZES), x, y, x, y,
+                                           evaluator.train_config, seed))
+    # the row with its dead edges trains to the same live weights and history
+    raw = train(decode(row, SMALL_SIZES), x, y, x, y, evaluator.train_config, seed)
+    for w, w_live, mask in zip(raw.net.weights, hit.result.net.weights, hit.result.net.masks):
+        assert np.array_equal(w * mask, w_live)
+    for b, b_live in zip(raw.net.biases, hit.result.net.biases):
+        assert np.array_equal(b, b_live)
+    assert raw.history == hit.result.history
+
+
+def test_runs_with_different_seeds_train_a_shared_row_under_different_seeds(monkeypatch):
+    calls = record_trainings(monkeypatch)
+    row = bits("100" "010" "000" "10" "01" "00")  # a live row
+    a = small_evaluator(1).evaluate([row])[0]
+    b = small_evaluator(2).evaluate([row])[0]
+    seeds = [seed for _, call_seeds in calls for seed in call_seeds]
+    key = row.tobytes().hex()
+    assert seeds == [derive_seed(1, key), derive_seed(2, key)]
+    assert seeds[0] != seeds[1]
+    assert not np.array_equal(a.result.net.weights[0], b.result.net.weights[0])
+
+
+def test_evolve_trains_each_live_row_once_and_keeps_only_live_rows(monkeypatch):
+    calls = record_trainings(monkeypatch)
+    populations = []
+    real_stats = ga._stats
+
+    def recording_stats(population, generation):
+        populations.append([ind.bits for ind in population])
+        return real_stats(population, generation)
+
+    monkeypatch.setattr(ga, "_stats", recording_stats)
+    sizes = (3, 3, 3, 2)
+    config = GaConfig(
+        population_size=8,
+        generations=8,
+        crossover_rate=0.9,
+        mutation_rate=0.05,
+        elitist_fraction=0.25,
+        lam=0.2,
+        n_conn_init=(3, 3, 2),
+        seed=4,
+        ga_patience=8,
+        ga_tolerance=0.0,
+    )
+    x, y = small_evaluator(0).data[:2]
+    best, log = evolve(x, y, x, y, sizes, config, toy_train_config())
+
+    trained = [r.tobytes() for rows, _ in calls for r in rows]
+    assert len(trained) == len(set(trained))
+    for population in populations:
+        for row in population:
+            assert np.array_equal(ga.live_row(row, sizes), row)
+            assert row.tobytes() in trained
+    # the mapping had dead edges to drop, and some rows came back
+    initial = init_population(config, sizes, np.random.default_rng(derive_seed(4, "ga")))
+    assert any(not np.array_equal(ga.live_row(r, sizes), r) for r in initial)
+    evaluated = config.population_size + (len(log) - 1) * (config.population_size - 2)
+    assert len(trained) < evaluated
+    assert best.n_connections == int(best.bits.sum()) == best.result.net.structure.n_connections
