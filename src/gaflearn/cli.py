@@ -124,7 +124,10 @@ def _load_config(args, lam=None):
 
 def _cmd_train(args) -> int:
     config = _load_config(args, lam=args.lam)
-    run_training_experiment(config, echo=print)
+    try:
+        run_training_experiment(config, echo=print)
+    except ConfigError as exc:  # a config value that does not fit the data
+        raise ConfigError(f"{args.config}: {exc}") from exc
     print(f"wrote {config.out_dir / 'summary.csv'}")
     return 0
 

@@ -253,8 +253,8 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
 class Indicator:
     """One binary input feature and the predicate on the raw column behind it.
 
-    ``binarize`` applies the same tests to a whole column at once; ``matches``
-    is the per-value reference that the tests compare it against.
+    ``binarize`` encodes a whole column at once; ``matches`` is the
+    per-value reference that the tests compare it against.
     """
 
     name: str
@@ -299,34 +299,19 @@ def _fmt(t: float) -> str:
 
 
 def _bin_indicators(name: str, thresholds: np.ndarray) -> list[Indicator]:
+    """One indicator per interval between consecutive thresholds, open at both ends."""
     if thresholds.size == 0:
         return [Indicator(name=name, source_column=name, kind="always_true")]
-    out = [
-        Indicator(
-            name=f"{name}<{_fmt(thresholds[0])}",
-            source_column=name,
-            kind="numeric_bin",
-            hi=float(thresholds[0]),
-        )
-    ]
-    for lo, hi in zip(thresholds[:-1], thresholds[1:]):
-        out.append(
-            Indicator(
-                name=f"{_fmt(lo)}<={name}<{_fmt(hi)}",
-                source_column=name,
-                kind="numeric_bin",
-                lo=float(lo),
-                hi=float(hi),
-            )
-        )
-    out.append(
-        Indicator(
-            name=f"{name}>={_fmt(thresholds[-1])}",
-            source_column=name,
-            kind="numeric_bin",
-            lo=float(thresholds[-1]),
-        )
-    )
+    edges = [None, *map(float, thresholds), None]
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo is None:
+            label = f"{name}<{_fmt(hi)}"
+        elif hi is None:
+            label = f"{name}>={_fmt(lo)}"
+        else:
+            label = f"{_fmt(lo)}<={name}<{_fmt(hi)}"
+        out.append(Indicator(label, name, "numeric_bin", lo=lo, hi=hi))
     return out
 
 
@@ -338,9 +323,11 @@ def binarize(
     """Turn raw features into 0/1 indicator columns.
 
     Numeric columns get equal-frequency bins with thresholds at empirical
-    quantiles (or the schema's explicit thresholds); categorical columns get
-    one indicator per category; binary columns pass through. Thresholds are
-    fitted on ``fit_indices`` rows when given, on all rows otherwise.
+    quantiles (or the schema's explicit thresholds); a value's bin is its
+    interval index, one-hot encoded as categories are. Categorical columns
+    get one indicator per category; binary columns pass through.
+    Thresholds are fitted on ``fit_indices`` rows when given, on all rows
+    otherwise.
     Categories are always discovered on the full data so the one-hot
     invariant holds on every row.
     """
@@ -370,15 +357,10 @@ def binarize(
                     f"numeric column {spec.name!r} is constant on the fitted rows; "
                     "emitting a single always-true indicator"
                 )
-            feats = _bin_indicators(spec.name, thresholds)
-            indicators.extend(feats)
-            block = np.ones((len(feats), n), dtype=bool)
-            for col, ind in zip(block, feats):  # Indicator.matches on a whole column
-                if ind.lo is not None:
-                    col &= arr >= ind.lo
-                if ind.hi is not None:
-                    col &= arr < ind.hi
-            blocks.append(block)
+            indicators.extend(_bin_indicators(spec.name, thresholds))
+            # the interval index: how many thresholds lie at or below each value
+            codes = np.searchsorted(thresholds, arr, side="right")
+            blocks.append(codes == np.arange(thresholds.size + 1)[:, None])
         elif spec.kind == "categorical":
             levels, block = _one_hot(values)
             if len(levels) == 1:

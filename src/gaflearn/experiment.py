@@ -476,12 +476,12 @@ def run_training_experiment(
                     "test": len(run.test[1]),
                 },
                 "fitness": best.fitness,
-                "train_accuracy": best.train_accuracy,
+                "train_accuracy": best.result.train_accuracy,
                 "test_accuracy": metrics.accuracy,
                 "test_precision_macro": metrics.macro_precision,
                 "test_recall_macro": metrics.macro_recall,
                 "n_connections": n_connections,
-                "n_possible": best.n_possible,
+                "n_possible": len(best.bits),
                 "generations_run": generations_run,
                 "epochs_run": best.result.epochs_run,
             }

@@ -113,10 +113,8 @@ class GaConfig:
 class EvaluatedIndividual:
     bits: np.ndarray  # uint8 row of 0/1, see decode
     fitness: float
-    train_accuracy: float
     n_connections: int
-    n_possible: int
-    result: TrainResult
+    result: TrainResult  # its train_accuracy is the fitness's accuracy
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def init_population(
     capacities = [sizes[i] * sizes[i + 1] for i in range(n_blocks)]
     for count, cap in zip(config.n_conn_init, capacities):
         if count > cap:
-            raise ConfigError(f"initial connection count {count} exceeds block capacity {cap}")
+            raise ConfigError(f"n_conn_init count {count} exceeds block capacity {cap}")
     if not 1 <= config.k < sum(capacities):  # fail before any training, not in crossover
         raise ConfigError(f"k must lie in [1, {sum(capacities) - 1}], got {config.k}")
     if rng is None:
@@ -252,10 +250,11 @@ class _Evaluator:
 
     Each row becomes its live row before it is trained, scored or kept, so
     the fitness counts the edges the model exports. A row's seed comes from
-    the run seed and the row, and its result is kept for the rest of the
-    run. Results do not depend on which rows share a stack wherever BLAS
-    adds each product's terms in index order (OpenBLAS 0.3.31 does for
-    products of at most 15 terms).
+    the run seed and the row. ``memo`` maps a live row's bytes to its one
+    record for the rest of the run: a row that comes back later is the same
+    :class:`EvaluatedIndividual` object. Results do not depend on which rows
+    share a stack wherever BLAS adds each product's terms in index order
+    (OpenBLAS 0.3.31 does for products of at most 15 terms).
     """
 
     data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y train; x, y val
@@ -263,34 +262,24 @@ class _Evaluator:
     master_seed: int
     lam: float
     train_config: TrainConfig
-    memo: dict[bytes, TrainResult] = field(default_factory=dict)
+    memo: dict[bytes, EvaluatedIndividual] = field(default_factory=dict)
 
     def evaluate(self, rows: list[np.ndarray]) -> list[EvaluatedIndividual]:
         rows = [live_row(bits, self.layer_sizes) for bits in rows]
-        fresh = {bits.tobytes(): bits for bits in rows if bits.tobytes() not in self.memo}
+        keys = [bits.tobytes() for bits in rows]
+        fresh = {key: bits for key, bits in zip(keys, rows) if key not in self.memo}
         results = train_population(
             [decode(bits, self.layer_sizes) for bits in fresh.values()],
             *self.data,
             self.train_config,
             [derive_seed(self.master_seed, key.hex()) for key in fresh],
         )
-        self.memo.update(zip(fresh, results))
-
-        population = []
-        for bits in rows:
-            result = self.memo[bits.tobytes()]
+        for (key, bits), result in zip(fresh.items(), results):
             n_conn = int(bits.sum())
-            population.append(
-                EvaluatedIndividual(
-                    bits=bits,
-                    fitness=fitness(result.train_accuracy, n_conn, len(bits), self.lam),
-                    train_accuracy=result.train_accuracy,
-                    n_connections=n_conn,
-                    n_possible=len(bits),
-                    result=result,
-                )
+            self.memo[key] = EvaluatedIndividual(
+                bits, fitness(result.train_accuracy, n_conn, len(bits), self.lam), n_conn, result
             )
-        return population
+        return [self.memo[key] for key in keys]
 
 
 def evolve(
@@ -380,6 +369,6 @@ def _stats(population: list[EvaluatedIndividual], generation: int) -> Generation
         generation=generation,
         best_fitness=best.fitness,
         mean_fitness=float(np.mean([ind.fitness for ind in population])),
-        best_accuracy=best.train_accuracy,
+        best_accuracy=best.result.train_accuracy,
         best_connections=best.n_connections,
     )

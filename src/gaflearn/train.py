@@ -222,15 +222,6 @@ def _bind(
     return views[:n_weights], views[n_weights:]
 
 
-def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """x's columns ``cols``, C-ordered like x (BLAS may round differently on
-    another layout); x itself when cols is every column in order, as for a
-    fully connected net."""
-    if np.array_equal(cols, np.arange(x.shape[1])):
-        return x
-    return np.take(x, cols, axis=1)
-
-
 def _check_data(layer_sizes: Sequence[int], *pairs: tuple[np.ndarray, np.ndarray]) -> None:
     """Raise InputShapeError unless each (x, y) pair is an (n, inputs) matrix
     and a vector of n class indices, both as ``layer_sizes`` has them.
@@ -408,10 +399,12 @@ def train_population(
     best by more than es_tolerance.
 
     The stack holds only each net's live support: its live units per layer,
-    padded to the stack's widest with zero-weight, zero-mask slots, and
-    inputs are gathered on each net's live columns only. When an individual
-    leaves, its best compact parameters are scattered back into its
-    initialized full-shape net. A dead edge would get an exactly-zero
+    padded to the stack's widest with zero-weight, zero-mask slots. Each
+    net's inputs are gathered on its live columns, into one (P, rows, k)
+    array, unless every net reads every column (a fully connected input
+    layer): then the stack reads x_train and x_val as given. When an
+    individual leaves, its best compact parameters are scattered back into
+    its initialized full-shape net. A dead edge would get an exactly-zero
     gradient, so it keeps its initial draw, and a dead hidden bias stays 0.
     Its train accuracy, the share of training rows whose argmax class is
     the label, is scored then too, with its best compact parameters on its
@@ -463,13 +456,13 @@ def train_population(
     n = x_train.shape[0]
     batch_size = config.batch_size if 0 < config.batch_size < n else n
     starts = range(0, n, batch_size)
-    # inputs on the live columns: one (rows, k) matrix when every net has the
-    # same columns (always so for one net), else a C-ordered (P, rows, k)
-    # gather per net
+    # inputs on the live columns: x_train and x_val themselves when every net
+    # reads every column (a fully connected input layer), else a C-ordered
+    # (P, rows, k) gather per net
     cols = units[0]
-    shared = bool((cols == cols[0]).all())
-    if shared:
-        x_live, x_val = _columns(x_train, cols[0]), _columns(x_val, cols[0])
+    full = cols.shape[1] == x_train.shape[1] and bool((cols >= 0).all())
+    if full:
+        x_live = x_train
     else:
         x_val = x_val[np.arange(len(x_val))[:, None], cols[:, None, :]]
         if batch_size == n:
@@ -481,7 +474,7 @@ def train_population(
         for b, start in enumerate(starts):
             if batch_size < n:
                 idx = order[:, start : start + batch_size]
-                x = x_live[idx] if shared else x_train[idx[:, :, None], cols[:, None, :]]
+                x = x_live[idx] if full else x_train[idx[:, :, None], cols[:, None, :]]
                 loss, _, _ = gradients(stack, x, y_train[idx], out=grad_views)
             else:
                 loss, _, _ = gradients(stack, x_live, y_train, out=grad_views)
@@ -519,7 +512,7 @@ def train_population(
             i = int(active[k])
             compact = _views(best[k], shapes)
             # one net's inputs at a time: never a (P, n, k) gather of all rows
-            if shared:
+            if full:
                 x = x_live
             else:
                 x = x_live[k] if batch_size == n else np.take(x_train, cols[k], axis=1)
@@ -543,7 +536,7 @@ def train_population(
             )
             grad_views = _bind(stack, params, masks, grads, shapes)
             cols = units[0]
-            if not shared:  # per-net gathers lose the stopped nets' slices
+            if not full:  # per-net gathers lose the stopped nets' slices
                 x_val = x_val[keep]
                 if batch_size == n:
                     x_live = x_live[keep]

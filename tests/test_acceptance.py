@@ -204,11 +204,11 @@ def test_criterion_3_ga_operator_properties():
 
     # the evolved best's fitness recomputes bit-exactly from its parts
     lam = ga_cfg.lam
-    recomputed = (1.0 - lam) * best.train_accuracy + lam * (
-        best.n_possible - best.n_connections
-    ) / best.n_possible
+    recomputed = (1.0 - lam) * best.result.train_accuracy + lam * (
+        len(best.bits) - best.n_connections
+    ) / len(best.bits)
     eq1_exact = best.fitness == recomputed and best.fitness == fitness(
-        best.train_accuracy, best.n_connections, best.n_possible, lam
+        best.result.train_accuracy, best.n_connections, len(best.bits), lam
     )
 
     elapsed = time.perf_counter() - start
@@ -276,7 +276,7 @@ def test_criterion_4_fitness_extremes():
     best0, log0 = evolve(
         x_train, y_train, x_val, y_val, (n_in, 12, n_out), ga_zero, train_cfg
     )
-    lam0_ok = best0.fitness == best0.train_accuracy and all(
+    lam0_ok = best0.fitness == best0.result.train_accuracy and all(
         s.best_fitness == s.best_accuracy for s in log0
     )
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from gaflearn import ga
 from gaflearn.cli import main
 from gaflearn.model_io import from_json, to_json
 
@@ -54,6 +55,29 @@ def test_bad_config_values_exit_2_with_one_line_naming_file_and_key(tmp_path, ca
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: "), lines
         assert repr(key) in lines[0] or f" {key} " in lines[0], lines
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", 500), ("n_conn_init", [200, 2]), ("n_conn_init", [2])],
+    ids=["k", "capacity", "length"],
+)
+def test_config_mismatched_with_data_exits_2_naming_file_and_key(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    def refuse(*_args):
+        raise AssertionError("trained before the config was checked")
+
+    monkeypatch.setattr(ga, "train_population", refuse)
+    write_toy_dataset(tmp_path)
+    doc = json.loads(write_toy_config(tmp_path).read_text())
+    doc["ga"][key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("train", "--config", cfg, "--runs", "1", "--out", tmp_path / "out") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: "), lines
+    assert key in lines[0], lines
 
 
 @pytest.mark.filterwarnings("error")  # an overflow warning would be a second line

@@ -116,14 +116,7 @@ def test_init_population_edge_counts():
 def make_individual(fit, n_conn=0, length=10):
     c = np.zeros(length, np.uint8)
     c[:n_conn] = 1
-    return EvaluatedIndividual(
-        bits=c,
-        fitness=fit,
-        train_accuracy=fit,
-        n_connections=n_conn,
-        n_possible=length,
-        result=None,
-    )
+    return EvaluatedIndividual(bits=c, fitness=fit, n_connections=n_conn, result=None)
 
 
 def test_tournament_full_size_returns_global_best():
@@ -314,9 +307,9 @@ def test_evolve_finds_sparse_perfect_toy_solution():
     best, log = evolve(x, y, x, y, (1, 2), config, toy_train_config())
     # exhaustive oracle over all 4 structures: accuracy 1.0 needs >= 1 edge,
     # so the optimum is 1 connection with fitness 0.9 + 0.1/2
-    assert best.train_accuracy == 1.0
+    assert best.result.train_accuracy == 1.0
     assert best.n_connections <= 2
-    assert best.fitness == fitness(best.train_accuracy, best.n_connections, 2, 0.1)
+    assert best.fitness == fitness(best.result.train_accuracy, best.n_connections, 2, 0.1)
     assert max(s.best_fitness for s in log) == best.fitness
 
 
@@ -566,6 +559,7 @@ def test_memo_hit_in_a_later_generation_equals_training_the_row_alone(monkeypatc
     assert len(calls) == 2 and len(calls[1][0]) == 1
     assert not any(np.array_equal(r, live) for r in calls[1][0])  # not trained again
     hit = later[1]
+    assert hit is first[0]  # the memo's one record for the row
     assert np.array_equal(hit.bits, live) and hit.result is first[0].result
     assert hit.n_connections == 3
 
@@ -605,6 +599,14 @@ def test_evolve_trains_each_live_row_once_and_keeps_only_live_rows(monkeypatch):
         return real_stats(population, generation)
 
     monkeypatch.setattr(ga, "_stats", recording_stats)
+    scored = []
+    real_fitness = ga.fitness
+
+    def recording_fitness(*args):
+        scored.append(args)
+        return real_fitness(*args)
+
+    monkeypatch.setattr(ga, "fitness", recording_fitness)
     sizes = (3, 3, 3, 2)
     config = GaConfig(
         population_size=8,
@@ -623,6 +625,10 @@ def test_evolve_trains_each_live_row_once_and_keeps_only_live_rows(monkeypatch):
 
     trained = [r.tobytes() for rows, _ in calls for r in rows]
     assert len(trained) == len(set(trained))
+    # each trained row is scored once, into the memo's one record for it
+    assert [n_conn for _, n_conn, _, _ in scored] == [
+        int(r.sum()) for rows, _ in calls for r in rows
+    ]
     for population in populations:
         for row in population:
             assert np.array_equal(ga.live_row(row, sizes), row)

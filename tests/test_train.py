@@ -458,6 +458,40 @@ def test_train_population_equals_training_each_structure_alone(batch_size, es_pa
         assert len({r.epochs_run for r in together}) > 1
 
 
+def shared_subset_structures():
+    """Three (4, 5, 3) nets whose live inputs are the same strict subset,
+    columns 0-2, under different hidden-to-output blocks."""
+    into_hidden = np.array(
+        [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 1, 1], [0, 0, 0, 0, 0]], dtype=bool
+    )
+    to_output = [
+        [[1, 1, 1], [0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]],
+        [[0, 1, 1], [0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0]],
+    ]
+    return [
+        GafStructure((4, 5, 3), ((0, 1, into_hidden), (1, 2, np.array(m, dtype=bool))))
+        for m in to_output
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [0, 16])
+@pytest.mark.parametrize("stack", ["shared-strict-subset", "fully-connected"])
+def test_stacks_with_equal_input_columns_train_each_structure_alone(stack, batch_size):
+    if stack == "fully-connected":
+        structures = [GafStructure.fully_connected((4, 3))] * 2
+    else:
+        structures = shared_subset_structures()
+        inputs = {live_units(s)[0].tobytes() for s in structures}
+        assert inputs == {np.array([1, 1, 1, 0], dtype=bool).tobytes()}
+    x, y = three_class_task(seed=11, n=70)
+    xv, yv = three_class_task(seed=12, n=30)
+    config = TrainConfig(learning_rate=0.1, max_epochs=60, es_patience=60,
+                         es_tolerance=1e-3, batch_size=batch_size)
+    seeds = [7 + i for i in range(len(structures))]
+    assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, seeds)
+
+
 ADULT_SIZES = (118, 12, 2)
 
 
