@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -135,11 +134,13 @@ def _cmd_train(args) -> int:
 def _cmd_baseline(args) -> int:
     config = _load_config(args)
     if args.out is None:
-        # keep baseline artifacts apart from the training run's directory
+        # keep baseline artifacts apart from the training run's directory;
+        # the loader checks that directory as it checks an --out
         suffix = f"-{args.kind}"
         if args.max_depth is not None:
             suffix += f"-depth{args.max_depth}"
-        config = replace(config, out_dir=config.out_dir.with_name(config.out_dir.name + suffix))
+        args.out = config.out_dir.with_name(config.out_dir.name + suffix)
+        config = _load_config(args)
     run_baseline_experiment(config, args.kind, max_depth=args.max_depth, echo=print)
     print(f"wrote {config.out_dir / 'summary.csv'}")
     return 0

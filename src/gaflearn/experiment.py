@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -31,57 +32,61 @@ from .errors import ConfigError
 from .ga import GaConfig, GenerationStats, evolve
 from .model_io import to_json
 from .train import MaskedNet, TrainConfig, to_classifier
-from .util import derive_seed, write_text_atomic
+from .util import check_field_types, derive_seed, write_text_atomic
 
-SUMMARY_COLUMNS = (
-    "run",
-    "seed",
-    "test_accuracy",
-    "test_precision_macro",
-    "test_recall_macro",
-    "n_connections",
-    "generations_run",
-)
-
-_TOP_KEYS = {
-    "dataset",
-    "schema",
-    "runs",
-    "seed",
-    "out",
-    "bins_per_numeric",
-    "bin_fit",
-    "hidden_layers",
-    "tree_features",
-    "ga",
-    "train",
-}
+_type_hints = cache(get_type_hints)  # each config class's annotations, evaluated once
 
 
 def _section_keys(cls: type) -> dict[str, str]:
-    """Config-file key -> field name for a GaConfig or TrainConfig section.
+    """Config-file key -> field name, for the top level and its ``ga`` and
+    ``train`` sections: the one table that reads and writes the settings.
 
-    A field's ``key`` metadata renames it (``lam`` is ``"lambda"``); the
-    seed comes from the top level, so no section sets it.
+    A field's ``key`` metadata renames it (``lam`` is ``"lambda"``); a run's
+    GaConfig seed comes from the top-level seed, so the file does not set it.
     """
-    return {f.metadata.get("key", f.name): f.name for f in fields(cls) if f.name != "seed"}
+    return {
+        f.metadata.get("key", f.name): f.name
+        for f in fields(cls)
+        if (cls, f.name) != (GaConfig, "seed")
+    }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (paths absolute, overrides applied)."""
+    """Fully resolved experiment description (paths absolute, overrides applied).
 
-    dataset_path: Path
-    schema_path: Path
-    out_dir: Path
-    runs: int
-    seed: int
-    bins_per_numeric: int
-    bin_fit: str  # "train" fits numeric thresholds per run, "all" on every row
-    hidden_layers: tuple[int, ...]
-    tree_features: str  # "binarized" or "raw"
+    Each field is one config-file setting, under its ``key`` metadata if it
+    has one, with the setting's default. Like GaConfig and TrainConfig it
+    checks its own types and ranges; the loader checks and resolves the
+    paths and builds the ``ga`` and ``train`` sections.
+    """
+
+    dataset_path: Path = field(metadata={"key": "dataset"})
+    schema_path: Path = field(metadata={"key": "schema"})
+    out_dir: Path = field(metadata={"key": "out"})  # the loader's default: out/<config stem>
+    runs: int = 10
+    seed: int = 0
+    bins_per_numeric: int = 3
+    bin_fit: str = "train"  # "train" fits numeric thresholds per run, "all" on every row
+    hidden_layers: tuple[int, ...] = (12,)
+    tree_features: str = "binarized"  # "binarized" or "raw"
     ga: GaConfig  # seed 0; ga_config(seed) gives a run's
     train: TrainConfig
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
+        for name, minimum in (("runs", 1), ("seed", 0), ("bins_per_numeric", 2)):
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
+        if any(h < 1 for h in self.hidden_layers):
+            raise ConfigError(f"hidden_layers sizes must be >= 1, got {list(self.hidden_layers)}")
+        if self.bin_fit not in ("train", "all"):
+            raise ConfigError(f"bin_fit must be 'train' or 'all', got {self.bin_fit!r}")
+        if self.tree_features not in ("binarized", "raw"):
+            raise ConfigError(
+                f"tree_features must be 'binarized' or 'raw', got {self.tree_features!r}"
+            )
 
     def ga_config(self, seed: int) -> GaConfig:
         return replace(self.ga, seed=seed)
@@ -89,59 +94,36 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         """Every setting, defaults included, under its config-file key."""
 
-        def section(config) -> dict:
-            return {key: getattr(config, name) for key, name in _section_keys(type(config)).items()}
+        def value(v):
+            if is_dataclass(v):  # this config, or its ga or train section
+                return {key: value(getattr(v, f)) for key, f in _section_keys(type(v)).items()}
+            return str(v) if isinstance(v, Path) else v
 
-        return {
-            "dataset": str(self.dataset_path),
-            "schema": str(self.schema_path),
-            "out": str(self.out_dir),
-            "runs": self.runs,
-            "seed": self.seed,
-            "bins_per_numeric": self.bins_per_numeric,
-            "bin_fit": self.bin_fit,
-            "hidden_layers": list(self.hidden_layers),
-            "tree_features": self.tree_features,
-            "ga": section(self.ga),
-            "train": section(self.train),
-        }
+        return value(self)
 
 
-def _require(doc: dict, key: str, path: Path):
-    if key not in doc:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return doc[key]
+def _section(doc, cls: type, path: Path, name: str = ""):
+    """Build ``cls`` from one object of the config file: the top level, or its
+    ``ga`` or ``train`` section (``name``), which the top level's own call builds.
 
-
-def _as_int(value, name: str, path: Path, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: {name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}: {name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_str(value, name: str, path: Path) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path}: {name} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _section(doc: dict, name: str, cls: type, path: Path, overrides: dict):
-    """Build the ``ga`` or ``train`` section's dataclass, which checks types and ranges."""
-    section = _require(doc, name, path)
-    if not isinstance(section, dict):
+    Unknown and missing settings are named by their config-file key; the
+    dataclass checks types and ranges, and its message gains the file's path.
+    """
+    if not isinstance(doc, dict):
         raise ConfigError(f"{path}: {name!r} must be an object")
+    where = f"{name} " if name else ""
     keys = _section_keys(cls)
-    unknown = sorted(set(section) - set(keys))
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ConfigError(f"{path}: unknown {name} keys {unknown}")
-    args = {keys[key]: value for key, value in section.items()}
-    args.update(overrides)
+        raise ConfigError(f"{path}: unknown {where}keys {unknown}")
+    args = {keys[key]: value for key, value in doc.items()}
+    for field_name, kind in _type_hints(cls).items():  # the ga and train sections
+        if is_dataclass(kind) and field_name in args:
+            args[field_name] = _section(args[field_name], kind, path, field_name)
     key_of = {field_name: key for key, field_name in keys.items()}
     for f in fields(cls):  # a missing setting is named as the file names it
         if f.default is MISSING and f.default_factory is MISSING and f.name not in args:
-            raise ConfigError(f"{path}: missing required {name} key {key_of[f.name]!r}")
+            raise ConfigError(f"{path}: missing required {where}key {key_of[f.name]!r}")
     try:
         return cls(**args)
     except ConfigError as exc:
@@ -177,7 +159,8 @@ def load_experiment_config(
 
     Relative paths inside the config resolve against the config file's
     directory; a relative ``out`` override resolves against the working
-    directory, since it comes from the command line.
+    directory, since it comes from the command line. An ``out`` that cannot
+    become a directory is rejected here, before any data is read.
     """
     path = Path(path)
     try:
@@ -195,65 +178,28 @@ def load_experiment_config(
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _reject_non_finite(doc, "", path)
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
 
     base = path.resolve().parent
+    for key in ("dataset", "schema", "out"):
+        if key in doc:
+            if not isinstance(doc[key], str) or not doc[key]:
+                raise ConfigError(f"{path}: {key} must be a non-empty string, got {doc[key]!r}")
+            doc[key] = base / doc[key]  # an absolute path stays as it is
+    overrides = {"seed": seed, "runs": runs, "out": out, "bin_fit": bin_fit}
+    doc.update((key, v) for key, v in overrides.items() if v is not None)
+    doc["out"] = Path(doc.get("out", Path("out") / path.stem))
+    if lam is not None and isinstance(doc.get("ga"), dict):
+        doc["ga"] = {**doc["ga"], "lambda": lam}
+    config = _section(doc, ExperimentConfig, path)
 
-    def resolve(p: str | Path) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else base / q
-
-    dataset_path = resolve(_as_str(_require(doc, "dataset", path), "dataset", path))
-    schema_path = resolve(_as_str(_require(doc, "schema", path), "schema", path))
-    if not dataset_path.is_file():
-        raise ConfigError(f"dataset file not found: {dataset_path}")
-    if not schema_path.is_file():
-        raise ConfigError(f"schema file not found: {schema_path}")
-
-    runs_val = runs if runs is not None else doc.get("runs", 10)
-    runs_val = _as_int(runs_val, "runs", path, 1)
-    seed_val = seed if seed is not None else doc.get("seed", 0)
-    seed_val = _as_int(seed_val, "seed", path, 0)
-
-    if out is not None:
-        out_dir = Path(out)
-    elif "out" in doc:
-        out_dir = resolve(_as_str(doc["out"], "out", path))
-    else:
-        out_dir = Path("out") / path.stem
-
-    bins = _as_int(doc.get("bins_per_numeric", 3), "bins_per_numeric", path, 2)
-
-    fit_val = bin_fit if bin_fit is not None else doc.get("bin_fit", "train")
-    if fit_val not in ("train", "all"):
-        raise ConfigError(f"{path}: bin_fit must be 'train' or 'all', got {fit_val!r}")
-
-    hidden_raw = doc.get("hidden_layers", [12])
-    if not isinstance(hidden_raw, list):
-        raise ConfigError(f"{path}: hidden_layers must be a list of integers")
-    hidden = tuple(_as_int(h, "hidden layer size", path, 1) for h in hidden_raw)
-
-    tree_feats = doc.get("tree_features", "binarized")
-    if tree_feats not in ("binarized", "raw"):
-        raise ConfigError(
-            f"{path}: tree_features must be 'binarized' or 'raw', got {tree_feats!r}"
-        )
-
-    return ExperimentConfig(
-        dataset_path=dataset_path,
-        schema_path=schema_path,
-        out_dir=out_dir,
-        runs=runs_val,
-        seed=seed_val,
-        bins_per_numeric=bins,
-        bin_fit=fit_val,
-        hidden_layers=hidden,
-        tree_features=tree_feats,
-        ga=_section(doc, "ga", GaConfig, path, {} if lam is None else {"lam": lam}),
-        train=_section(doc, "train", TrainConfig, path, {}),
-    )
+    if not config.dataset_path.is_file():
+        raise ConfigError(f"dataset file not found: {config.dataset_path}")
+    if not config.schema_path.is_file():
+        raise ConfigError(f"schema file not found: {config.schema_path}")
+    blocker = next(p for p in (config.out_dir, *config.out_dir.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"output directory {config.out_dir}: {blocker} is not a directory")
+    return config
 
 
 @dataclass(frozen=True)
@@ -268,6 +214,10 @@ class RunRecord:
     n_connections: int
     generations_run: int
     wall_seconds: float
+
+
+# summary.csv's header: every RunRecord field but the wall time, which timings.csv holds
+SUMMARY_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name != "wall_seconds")
 
 
 def run_seed_for(master_seed: int, run: int) -> int:
@@ -286,19 +236,8 @@ def _summary_lines(records: Sequence[RunRecord]) -> list[str]:
             f"{r.run},{r.seed},{r.test_accuracy:.6f},{r.test_precision_macro:.6f},"
             f"{r.test_recall_macro:.6f},{r.n_connections},{r.generations_run}"
         )
-    stats = np.array(
-        [
-            [
-                r.test_accuracy,
-                r.test_precision_macro,
-                r.test_recall_macro,
-                r.n_connections,
-                r.generations_run,
-            ]
-            for r in records
-        ],
-        dtype=np.float64,
-    )
+    # the mean and std rows aggregate every column after run and seed
+    stats = np.array([[getattr(r, c) for c in SUMMARY_COLUMNS[2:]] for r in records], np.float64)
     means = stats.mean(axis=0)
     stds = stats.std(axis=0, ddof=1) if len(records) > 1 else np.zeros(stats.shape[1])
     lines.append("mean,," + ",".join(f"{v:.6f}" for v in means))
@@ -317,7 +256,7 @@ def write_timings_csv(path: Path, records: Sequence[RunRecord]) -> None:
 
 
 def write_generations_csv(path: Path, log: Sequence[GenerationStats]) -> None:
-    lines = ["generation,best_fitness,mean_fitness,best_accuracy,best_connections"]
+    lines = [",".join(f.name for f in fields(GenerationStats))]
     lines.extend(
         f"{s.generation},{s.best_fitness:.6f},{s.mean_fitness:.6f},"
         f"{s.best_accuracy:.6f},{s.best_connections}"

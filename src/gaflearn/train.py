@@ -359,10 +359,13 @@ class TrainingHistory:
 class TrainResult:
     net: MaskedNet
     history: TrainingHistory
-    epochs_run: int
     best_epoch: int
     seed: int
     train_accuracy: float  # of the best parameters, on the training rows
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.history.val_loss)
 
 
 def train(
@@ -518,9 +521,8 @@ def train_population(
                 x = x_live[k] if batch_size == n else np.take(x_train, cols[k], axis=1)
             _, z = forward_pass(stack.structure, compact[:n_weights], compact[n_weights:], x)
             _scatter(nets[i], compact, [u[k] for u in units])
-            h = histories[i]
             results[i] = TrainResult(
-                nets[i], h, len(h.val_loss), int(best_epoch[k]), seeds[i],
+                nets[i], histories[i], int(best_epoch[k]), seeds[i],
                 float(np.mean(np.argmax(z, axis=-1) == y_train)),
             )
         if stopped.all():

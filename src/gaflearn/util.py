@@ -27,10 +27,12 @@ def derive_seed(*parts: int | str) -> int:
 def check_field_types(config) -> None:
     """Raise ConfigError unless every field of a config dataclass holds its annotated kind.
 
-    An ``int`` field needs an int, a ``float`` field an int or float, and a
-    ``tuple[int, ...]`` field a list or tuple of ints. A bool is none of
-    these, though Python counts it as an int. A field's message names it by
-    its ``key`` metadata when it has one, as the config file does.
+    An ``int`` field needs an int, a ``float`` field an int or float, a
+    ``str`` field a str, and a ``tuple[int, ...]`` field a list or tuple of
+    ints. A bool is none of these, though Python counts it as an int. Fields
+    of other types, paths and nested sections, are skipped: the config loader
+    builds those. A field's message names it by its ``key`` metadata when it
+    has one, as the config file does.
     """
 
     def holds(value, kinds: tuple[type, ...]) -> bool:
@@ -44,9 +46,14 @@ def check_field_types(config) -> None:
         elif f.type == "int":
             ok = holds(value, (int,))
             want = "an integer"
-        else:  # "float"
+        elif f.type == "float":
             ok = holds(value, (int, float))
             want = "a number"
+        elif f.type == "str":
+            ok = isinstance(value, str)
+            want = "a string"
+        else:  # a path or a nested section
+            continue
         if not ok:
             raise ConfigError(f"{f.metadata.get('key', f.name)} must be {want}, got {value!r}")
 

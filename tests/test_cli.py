@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gaflearn import ga
+from gaflearn import experiment, ga
 from gaflearn.cli import main
 from gaflearn.model_io import from_json, to_json
 
@@ -34,6 +34,39 @@ def test_missing_schema_exits_2_naming_path(tmp_path, capsys):
     code = run_cli("train", "--config", cfg)
     assert code == 2
     assert "gone.schema.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_reading_data(
+    tmp_path, capsys, monkeypatch, command, below
+):
+    def refuse(*_args):
+        raise AssertionError("read the dataset before checking --out")
+
+    monkeypatch.setattr(experiment, "load_csv", refuse)
+    write_toy_dataset(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / below if below else blocker
+    kind = ["--kind", "logistic"] if command == "baseline" else []
+    assert run_cli(command, *kind, "--config", write_toy_config(tmp_path), "--out", out) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0], lines
+
+
+def test_baseline_default_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("read the dataset before checking the output directory")
+
+    monkeypatch.setattr(experiment, "load_csv", refuse)
+    monkeypatch.chdir(tmp_path)  # the default out directory is out/<config stem>
+    write_toy_dataset(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "toy-logistic").write_text("not a directory\n")
+    assert run_cli("baseline", "--kind", "logistic", "--config", write_toy_config(tmp_path)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "toy-logistic" in lines[0], lines
 
 
 def test_bad_config_values_exit_2_with_one_line_naming_file_and_key(tmp_path, capsys):

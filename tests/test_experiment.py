@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import gaflearn.experiment as experiment
+from gaflearn.cli import main
 from gaflearn.errors import ConfigError
 from gaflearn.experiment import (
     SUMMARY_COLUMNS,
+    ExperimentConfig,
     load_experiment_config,
     run_baseline_experiment,
     run_seed_for,
@@ -150,6 +152,64 @@ def test_config_reports_bad_hyperparameters_with_path(tmp_path):
         with pytest.raises(ConfigError) as info:
             load_experiment_config(path)
         assert str(path) in str(info.value) and key in str(info.value), (key, value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("runs", 2.5),
+        ("runs", 0),
+        ("runs", True),
+        ("seed", -1),
+        ("seed", "1"),
+        ("bins_per_numeric", 1),
+        ("bins_per_numeric", 3.0),
+        ("bin_fit", "test"),
+        ("bin_fit", 1),
+        ("tree_features", "x"),
+        ("hidden_layers", 3),
+        ("hidden_layers", [0]),
+        ("hidden_layers", [2.0]),
+        ("dataset", 3),
+        ("dataset", ""),
+        ("out", 5),
+    ],
+)
+def test_config_reports_bad_top_level_settings_with_path(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    monkeypatch.chdir(tmp_path)  # the default out directory, should a case load
+    write_toy_dataset(tmp_path)
+    path = write_toy_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError) as info:
+        load_experiment_config(path)
+    assert str(path) in str(info.value) and key in str(info.value)
+    # the command line exits 2 with that one line, before any data is read
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {info.value}"]
+
+
+@pytest.mark.parametrize("bad", [{"runs": 0}, {"bin_fit": "x"}], ids=["runs", "bin_fit"])
+def test_experiment_config_checks_itself(tmp_path, bad):
+    write_toy_dataset(tmp_path)
+    config = load_experiment_config(write_toy_config(tmp_path))
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        ExperimentConfig(**{**vars(config), **bad})
+
+
+def test_resolved_config_loads_back_to_the_config_that_wrote_it(tmp_path):
+    write_toy_dataset(tmp_path)
+    config = load_experiment_config(
+        write_toy_config(tmp_path, runs=1, bin_fit="all", hidden_layers=[3]),
+        out=tmp_path / "out",
+        lam=0.3,
+    )
+    run_training_experiment(config)
+    written = tmp_path / "out" / "resolved_config.json"
+    doc = json.loads(written.read_text())
+    assert doc.pop("command") == "train"
+    written.write_text(json.dumps(doc))
+    assert load_experiment_config(written) == config
 
 
 def test_training_experiment_writes_artifacts(tmp_path):
