@@ -1,7 +1,8 @@
 """Command-line interface: experiments, baselines, export, semantics runs.
 
 Exit codes: 0 success, 1 runtime failure (such as a diverged training or an
-interrupt), 2 configuration or usage error.
+interrupt), 2 configuration or usage error, including bad input data such as
+a dataset that cannot be split.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     ModelFormatError,
     ParseError,
     SchemaError,
+    StratificationError,
 )
 from .experiment import (
     load_experiment_config,
@@ -37,6 +39,7 @@ _USAGE_ERRORS = (
     ModelFormatError,
     InputShapeError,
     CodecError,
+    StratificationError,
     FileNotFoundError,
     IsADirectoryError,
 )

@@ -117,10 +117,10 @@ def load_schema(path: str | Path) -> DatasetSchema:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError too, so it goes first
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     return schema_from_dict(raw)
 
 

@@ -28,7 +28,7 @@ from .data import (
     raw_feature_matrix,
     split_stratified,
 )
-from .errors import ConfigError
+from .errors import ConfigError, StratificationError
 from .ga import GaConfig, GenerationStats, evolve
 from .model_io import to_json
 from .train import MaskedNet, TrainConfig, to_classifier
@@ -158,9 +158,10 @@ def load_experiment_config(
     """Read a JSON experiment config; keyword arguments override its fields.
 
     Relative paths inside the config resolve against the config file's
-    directory; a relative ``out`` override resolves against the working
-    directory, since it comes from the command line. An ``out`` that cannot
-    become a directory is rejected here, before any data is read.
+    directory; a relative ``out`` override and the default ``out/<stem>``
+    resolve against the working directory, since they come from the command
+    line. An ``out`` that cannot become a directory is rejected here, before
+    any data is read.
     """
     path = Path(path)
     try:
@@ -173,7 +174,7 @@ def load_experiment_config(
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -187,7 +188,7 @@ def load_experiment_config(
             doc[key] = base / doc[key]  # an absolute path stays as it is
     overrides = {"seed": seed, "runs": runs, "out": out, "bin_fit": bin_fit}
     doc.update((key, v) for key, v in overrides.items() if v is not None)
-    doc["out"] = Path(doc.get("out", Path("out") / path.stem))
+    doc["out"] = Path(doc.get("out", Path("out") / path.stem)).absolute()
     if lam is not None and isinstance(doc.get("ga"), dict):
         doc["ga"] = {**doc["ga"], "lambda": lam}
     config = _section(doc, ExperimentConfig, path)
@@ -229,24 +230,21 @@ def _take(matrix: np.ndarray, labels: np.ndarray, indices: Sequence[int]):
     return matrix[idx], labels[idx]
 
 
-def _summary_lines(records: Sequence[RunRecord]) -> list[str]:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for r in records:
-        lines.append(
-            f"{r.run},{r.seed},{r.test_accuracy:.6f},{r.test_precision_macro:.6f},"
-            f"{r.test_recall_macro:.6f},{r.n_connections},{r.generations_run}"
-        )
+def _csv_row(record, columns: Sequence[str]) -> str:
+    """A record's named fields as one CSV row: floats to 6 decimals, the rest as str."""
+    values = (getattr(record, c) for c in columns)
+    return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in values)
+
+
+def write_summary_csv(path: Path, records: Sequence[RunRecord]) -> None:
+    lines = [",".join(SUMMARY_COLUMNS), *(_csv_row(r, SUMMARY_COLUMNS) for r in records)]
     # the mean and std rows aggregate every column after run and seed
     stats = np.array([[getattr(r, c) for c in SUMMARY_COLUMNS[2:]] for r in records], np.float64)
     means = stats.mean(axis=0)
     stds = stats.std(axis=0, ddof=1) if len(records) > 1 else np.zeros(stats.shape[1])
     lines.append("mean,," + ",".join(f"{v:.6f}" for v in means))
     lines.append("std,," + ",".join(f"{v:.6f}" for v in stds))
-    return lines
-
-
-def write_summary_csv(path: Path, records: Sequence[RunRecord]) -> None:
-    write_text_atomic(path, "\n".join(_summary_lines(records)) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_timings_csv(path: Path, records: Sequence[RunRecord]) -> None:
@@ -256,12 +254,8 @@ def write_timings_csv(path: Path, records: Sequence[RunRecord]) -> None:
 
 
 def write_generations_csv(path: Path, log: Sequence[GenerationStats]) -> None:
-    lines = [",".join(f.name for f in fields(GenerationStats))]
-    lines.extend(
-        f"{s.generation},{s.best_fitness:.6f},{s.mean_fitness:.6f},"
-        f"{s.best_accuracy:.6f},{s.best_connections}"
-        for s in log
-    )
+    columns = [f.name for f in fields(GenerationStats)]
+    lines = [",".join(columns), *(_csv_row(s, columns) for s in log)]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -318,9 +312,6 @@ def _run_experiment(
     labels_all = raw.label_indices()
     n_classes = len(raw.label_values)
     raw_matrix = raw_feature_matrix(raw)[1] if raw_features else None
-    full = None
-    if not raw_features and config.bin_fit == "all":
-        full = binarize(raw, config.bins_per_numeric)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     if announce:
         say(
@@ -332,14 +323,16 @@ def _run_experiment(
     for r in range(config.runs):
         t0 = time.perf_counter()
         run_seed = run_seed_for(config.seed, r)
-        split = split_stratified(raw.n_instances, labels_all, seed=run_seed)
+        try:
+            split = split_stratified(raw.n_instances, labels_all, seed=run_seed)
+        except StratificationError as exc:
+            raise StratificationError(f"{config.dataset_path}: {exc}") from None
         binz = None
         if raw_matrix is not None:
             x, y = raw_matrix, labels_all
         else:
-            binz = full
-            if binz is None:
-                binz = binarize(raw, config.bins_per_numeric, fit_indices=split.train)
+            fit_rows = split.train if config.bin_fit == "train" else None
+            binz = binarize(raw, config.bins_per_numeric, fit_indices=fit_rows)
             x, y = binz.matrix, binz.labels
         run = _Run(
             index=r,

@@ -294,9 +294,9 @@ def evolve(
     """Run the full loop: evaluate, select, recombine, mutate, replace.
 
     Stops early once the best fitness has improved by at most ga_tolerance
-    for ga_patience consecutive generations; always returns the all-time
-    best individual plus the per-generation log. Every population row is a
-    live row, trained once per call under a seed derived from (seed, row);
+    for ga_patience consecutive generations. Returns the run's best, the first
+    top-ranked record of its memo, plus the per-generation log. Every population
+    row is a live row, trained once per call under a seed derived from (seed, row);
     see _Evaluator for when training in stacks leaves results unchanged.
     """
     sizes = tuple(int(s) for s in layer_sizes)
@@ -306,13 +306,10 @@ def evolve(
     )
     population = _with_context(evaluator, init_population(ga_config, sizes, rng), 0)
     log = [_stats(population, 0)]
-    best = _population_best(population)
-    prev_best = log[0].best_fitness
     stall = 0
 
     n = ga_config.population_size
-    n_elites = math.ceil(ga_config.elitist_fraction * n)
-    n_offspring = n - n_elites
+    n_offspring = n - math.ceil(ga_config.elitist_fraction * n)
     for generation in range(1, ga_config.generations + 1):
         pool = [tournament_select(population, ga_config.q, rng) for _ in range(n_offspring)]
         children: list[np.ndarray] = []
@@ -332,21 +329,14 @@ def evolve(
         population = elitist_replace(population, offspring, ga_config.elitist_fraction)
 
         log.append(_stats(population, generation))
-        candidate = _population_best(population)
-        if candidate.fitness > best.fitness or (
-            candidate.fitness == best.fitness
-            and candidate.n_connections < best.n_connections
-        ):
-            best = candidate
-        gen_best = log[-1].best_fitness
-        if gen_best - prev_best <= ga_config.ga_tolerance:
+        if log[-1].best_fitness - log[-2].best_fitness <= ga_config.ga_tolerance:
             stall += 1
         else:
             stall = 0
-        prev_best = gen_best
         if stall >= ga_config.ga_patience:
             break
-    return best, log
+    # every scored row joined a population, so the memo holds every candidate
+    return _population_best(list(evaluator.memo.values())), log
 
 
 def _with_context(

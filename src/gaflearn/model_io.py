@@ -56,7 +56,7 @@ def from_json(text: str) -> tuple[LayeredGaf, dict]:
     """Parse a model document; returns the graph and its metadata."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("document root must be an object")
@@ -83,10 +83,13 @@ def from_json(text: str) -> tuple[LayeredGaf, dict]:
         arg_id = _expect(entry, "id", str, ctx)
         name = _expect(entry, "name", str, ctx)
         layer = _expect(entry, "layer", int, ctx)
-        score = _expect(entry, "base_score", (int, float), ctx)
+        try:
+            score = float(_expect(entry, "base_score", (int, float), ctx))
+        except OverflowError:  # json keeps a long integer an int
+            raise ModelFormatError(f"{ctx}: 'base_score' is too large for a float") from None
         if not 0 <= layer < len(layer_sizes):
             raise ModelFormatError(f"{ctx}: layer {layer} out of range")
-        layers[layer].append(Argument(id=arg_id, name=name, layer_index=layer, base_score=float(score)))
+        layers[layer].append(Argument(id=arg_id, name=name, layer_index=layer, base_score=score))
     for li, (layer, size) in enumerate(zip(layers, layer_sizes)):
         if len(layer) != size:
             raise ModelFormatError(
@@ -100,8 +103,11 @@ def from_json(text: str) -> tuple[LayeredGaf, dict]:
         ctx = f"edge {i}"
         source = _expect(entry, "source", str, ctx)
         target = _expect(entry, "target", str, ctx)
-        weight = _expect(entry, "weight", (int, float), ctx)
-        edges.append(WeightedEdge(source=source, target=target, weight=float(weight)))
+        try:
+            weight = float(_expect(entry, "weight", (int, float), ctx))
+        except OverflowError:  # json keeps a long integer an int
+            raise ModelFormatError(f"{ctx}: 'weight' is too large for a float") from None
+        edges.append(WeightedEdge(source=source, target=target, weight=weight))
 
     try:
         gaf = LayeredGaf(layers, edges, tuple(class_labels))

@@ -27,12 +27,13 @@ def derive_seed(*parts: int | str) -> int:
 def check_field_types(config) -> None:
     """Raise ConfigError unless every field of a config dataclass holds its annotated kind.
 
-    An ``int`` field needs an int, a ``float`` field an int or float, a
-    ``str`` field a str, and a ``tuple[int, ...]`` field a list or tuple of
-    ints. A bool is none of these, though Python counts it as an int. Fields
-    of other types, paths and nested sections, are skipped: the config loader
-    builds those. A field's message names it by its ``key`` metadata when it
-    has one, as the config file does.
+    An ``int`` field needs an int, a ``float`` field a float or an int that
+    converts to one (it is kept an int), a ``str`` field a str, and a
+    ``tuple[int, ...]`` field a list or tuple of ints. A bool is none of
+    these, though Python counts it as an int. Fields of other types, paths
+    and nested sections, are skipped: the config loader builds those. A
+    field's message names it by its ``key`` metadata when it has one, as the
+    config file does.
     """
 
     def holds(value, kinds: tuple[type, ...]) -> bool:
@@ -49,6 +50,11 @@ def check_field_types(config) -> None:
         elif f.type == "float":
             ok = holds(value, (int, float))
             want = "a number"
+            if ok and isinstance(value, int):  # json keeps a long integer an int
+                try:
+                    float(value)
+                except OverflowError:
+                    ok, want = False, "a number within the float range"
         elif f.type == "str":
             ok = isinstance(value, str)
             want = "a string"

@@ -270,6 +270,73 @@ def test_non_utf8_input_exits_2_with_one_line_naming_the_file(tmp_path, capsys, 
     assert lines == [f"error: {path}: not UTF-8 text (invalid start byte)"]
 
 
+LONG_INT = "1" + "0" * 5000  # past Python's 4,300-digit limit on reading an int
+HUGE_INT = "1" + "0" * 400  # readable, but too large for a float
+
+
+def write_with_number(path, doc, number):
+    """Write doc as JSON with its one string "NUMBER" replaced by a bare number."""
+    path.write_text(json.dumps(doc).replace('"NUMBER"', number))
+
+
+@pytest.mark.parametrize(
+    "which, number, detail",
+    [
+        ("config", LONG_INT, "not valid JSON (Exceeds the limit"),
+        ("config", HUGE_INT, "learning_rate must be a number within the float range"),
+        ("schema", LONG_INT, "not valid JSON (Exceeds the limit"),
+        ("model", LONG_INT, "not valid JSON: Exceeds the limit"),
+        ("model", HUGE_INT, "edge 0: 'weight' is too large for a float"),
+        ("model-base-score", HUGE_INT, "argument 1: 'base_score' is too large for a float"),
+    ],
+    ids=["config-long-int", "config-huge-float", "schema-long-int", "model-long-int",
+         "model-huge-weight", "model-huge-base-score"],
+)
+def test_json_numbers_python_cannot_use_exit_2_with_one_line_naming_the_file(
+    tmp_path, capsys, which, number, detail
+):
+    write_toy_dataset(tmp_path)
+    cfg = write_toy_config(tmp_path, runs=1)
+    if which == "config":
+        doc = json.loads(cfg.read_text())
+        doc["train"]["learning_rate"] = "NUMBER"
+        write_with_number(cfg, doc, number)
+        path = cfg
+    elif which == "schema":
+        path = tmp_path / "toy.schema.json"
+        doc = json.loads(path.read_text())
+        doc["columns"]["x1"]["bins"] = "NUMBER"
+        write_with_number(path, doc, number)
+    else:
+        path = tmp_path / "model.json"
+        doc = json.loads(model_doc_with_unknown_edge_target().replace("a9_9", "a1_0"))
+        key = "base_score" if which == "model-base-score" else "weight"
+        (doc["arguments"][1] if key == "base_score" else doc["edges"][0])[key] = "NUMBER"
+        write_with_number(path, doc, number)
+    if which.startswith("model"):
+        code = run_cli("export", "--model", path)
+    else:
+        code = run_cli("train", "--config", cfg, "--out", tmp_path / "out")
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {detail}"), lines
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_dataset_that_cannot_be_stratified_exits_2_naming_the_file(tmp_path, capsys, command):
+    write_toy_dataset(tmp_path)
+    dataset = tmp_path / "toy.csv"
+    # two 'pos' rows: a class needs three to be split three ways
+    rows = [f"{i % 2},{i // 2 % 2},neg" for i in range(20)] + ["1,0,pos", "1,1,pos"]
+    dataset.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+    kind = ["--kind", "logistic"] if command == "baseline" else []
+    cfg = write_toy_config(tmp_path, runs=1)
+    assert run_cli(command, *kind, "--config", cfg, "--out", tmp_path / "out") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {dataset}: classes "), lines
+    assert "fewer than 3 instances" in lines[0], lines
+
+
 def test_run_semantics_trace(tmp_path, capsys):
     model = trained_model_path(tmp_path)
     capsys.readouterr()

@@ -1,6 +1,8 @@
 """Experiment orchestration: config loading, artifacts, determinism."""
 
+import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import gaflearn.experiment as experiment
 from gaflearn.cli import main
 from gaflearn.errors import ConfigError
+from gaflearn.ga import GenerationStats
 from gaflearn.experiment import (
     SUMMARY_COLUMNS,
     ExperimentConfig,
@@ -197,7 +200,7 @@ def test_experiment_config_checks_itself(tmp_path, bad):
         ExperimentConfig(**{**vars(config), **bad})
 
 
-def test_resolved_config_loads_back_to_the_config_that_wrote_it(tmp_path):
+def test_resolved_config_loads_back_to_the_config_that_wrote_it(tmp_path, monkeypatch):
     write_toy_dataset(tmp_path)
     config = load_experiment_config(
         write_toy_config(tmp_path, runs=1, bin_fit="all", hidden_layers=[3]),
@@ -210,6 +213,22 @@ def test_resolved_config_loads_back_to_the_config_that_wrote_it(tmp_path):
     assert doc.pop("command") == "train"
     written.write_text(json.dumps(doc))
     assert load_experiment_config(written) == config
+
+    # the default out and a relative --out are recorded absolute, so the file
+    # loads back to the run's directory from any working directory
+    (tmp_path / "cwd").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    for out, run_dir in ((None, "cwd/out/toy"), ("rel/x", "cwd/rel/x")):
+        monkeypatch.chdir(tmp_path / "cwd")
+        config = load_experiment_config(tmp_path / "toy.json", out=out)
+        assert config.out_dir == tmp_path / run_dir
+        run_training_experiment(config)
+        written = tmp_path / run_dir / "resolved_config.json"
+        doc = json.loads(written.read_text())
+        assert doc.pop("command") == "train"
+        written.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert load_experiment_config(written) == config
 
 
 def test_training_experiment_writes_artifacts(tmp_path):
@@ -247,6 +266,42 @@ def test_training_experiment_writes_artifacts(tmp_path):
     gen_lines = (tmp_path / "out" / "run_00" / "generations.csv").read_text().splitlines()
     assert gen_lines[0].startswith("generation,")
     assert int(gen_lines[-1].split(",")[0]) == records[0].generations_run
+
+
+def test_csv_rows_read_back_to_their_records(tmp_path, monkeypatch):
+    logs = []
+    real = experiment.evolve
+
+    def recording(*args):
+        best, log = real(*args)
+        logs.append(log)
+        return best, log
+
+    monkeypatch.setattr(experiment, "evolve", recording)
+    write_toy_dataset(tmp_path)
+    config = load_experiment_config(write_toy_config(tmp_path), out=tmp_path / "out")
+    records = run_training_experiment(config)
+
+    def assert_row(row: dict, record) -> None:
+        for f in fields(record):
+            if f.name in row:  # summary.csv leaves the wall time to timings.csv
+                value = getattr(record, f.name)
+                want = f"{value:.6f}" if f.type == "float" else str(value)
+                assert row[f.name] == want, (f.name, row)
+
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == list(SUMMARY_COLUMNS)
+    assert len(rows) == len(records) + 2  # the run rows, then mean and std
+    for row, record in zip(rows, records):
+        assert_row(row, record)
+    for r, log in enumerate(logs):
+        with open(tmp_path / "out" / f"run_{r:02d}" / "generations.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == [f.name for f in fields(GenerationStats)]
+        assert len(rows) == len(log) == records[r].generations_run + 1
+        for row, stats in zip(rows, log):
+            assert_row(row, stats)
 
 
 def test_exported_graph_is_the_searched_live_structure(tmp_path, monkeypatch):

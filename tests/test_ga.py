@@ -639,3 +639,41 @@ def test_evolve_trains_each_live_row_once_and_keeps_only_live_rows(monkeypatch):
     evaluated = config.population_size + (len(log) - 1) * (config.population_size - 2)
     assert len(trained) < evaluated
     assert best.n_connections == int(best.bits.sum()) == best.result.net.structure.n_connections
+
+
+def test_evolve_returns_the_earliest_top_ranked_individual_of_all_populations(monkeypatch):
+    # without elites a population's best can fall, so the returned best may
+    # have left the population, and several records may tie at the top
+    populations = []
+    real_stats = ga._stats
+
+    def recording_stats(population, generation):
+        populations.append(list(population))
+        return real_stats(population, generation)
+
+    monkeypatch.setattr(ga, "_stats", recording_stats)
+    x, y = small_evaluator(0).data[:2]
+    left, tied = 0, 0
+    for seed in range(6):
+        populations.clear()
+        config = GaConfig(
+            population_size=6,
+            generations=6,
+            crossover_rate=0.9,
+            mutation_rate=0.1,
+            elitist_fraction=0.0,
+            lam=0.2,
+            n_conn_init=(3, 3, 2),
+            seed=seed,
+            ga_patience=6,
+            ga_tolerance=0.0,
+        )
+        best, _ = evolve(x, y, x, y, (3, 3, 3, 2), config, toy_train_config())
+        seen = [ind for population in populations for ind in population]
+        # higher fitness, then fewer connections, then the first one seen
+        top = min(range(len(seen)), key=lambda i: (-seen[i].fitness, seen[i].n_connections, i))
+        assert best is seen[top]
+        left += all(ind is not best for ind in populations[-1])
+        top_rank = (best.fitness, best.n_connections)
+        tied += len({id(i) for i in seen if (i.fitness, i.n_connections) == top_rank}) > 1
+    assert left and tied
