@@ -2,9 +2,8 @@
 
 Logistic regression is literally a 0-hidden-layer classifier graph trained
 by the same machinery, so the comparison isolates the value of hidden
-structure. Decision trees are greedy Gini trees over the same feature
-matrix (binary indicators by default; threshold search makes them work on
-raw numeric columns too).
+structure. Decision trees are greedy Gini trees over the same binarized
+indicators; their threshold search splits any numeric matrix.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .experiment import (
     run_baseline_experiment,
     run_training_experiment,
 )
-from .graph import strength_trajectory
+from .graph import evaluate
 from .model_io import from_json, to_dot, to_json
 from .util import write_text_atomic
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_export)
 
     p_sem = subs.add_parser(
-        "run-semantics", help="trace strength values for one instance"
+        "run-semantics", help="print every argument's strength for one instance"
     )
     p_sem.add_argument("--model", required=True, help="model JSON file")
     p_sem.add_argument(
@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated input strengths, e.g. '1,0,0.5'",
     )
-    p_sem.add_argument("--iterations", type=int, default=10)
     p_sem.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p_sem.set_defaults(func=_cmd_run_semantics)
 
@@ -192,15 +191,12 @@ def _cmd_run_semantics(args) -> int:
         raise ConfigError(
             f"--instance must be comma-separated numbers, got {args.instance!r}"
         ) from None
-    if args.iterations < 0:
-        raise ConfigError(f"--iterations must be >= 0, got {args.iterations}")
-    trajectory = strength_trajectory(gaf, values, args.iterations)
-    names = [a.name for a in gaf.arguments()]
+    strengths = evaluate(gaf, values).strengths
+    arguments = gaf.arguments()  # layer-major
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", *names])
-    for i, vec in enumerate(trajectory):
-        writer.writerow([i, *[repr(float(v)) for v in vec]])
+    writer.writerow([a.name for a in arguments])
+    writer.writerow([repr(strengths[a.id]) for a in arguments])
     _emit(buf.getvalue(), args.out)
     if args.out is not None:
         print(f"wrote {args.out}")

@@ -362,14 +362,16 @@ def binarize(
             codes = np.searchsorted(thresholds, arr, side="right")
             blocks.append(codes == np.arange(thresholds.size + 1)[:, None])
         elif spec.kind == "categorical":
-            levels, block = _one_hot(values)
+            levels = sorted(set(values))
             if len(levels) == 1:
                 warnings.warn(f"categorical column {spec.name!r} has a single level")
             indicators.extend(
                 Indicator(f"{spec.name}={level}", spec.name, "category", category=level)
                 for level in levels
             )
-            blocks.append(block)
+            code = {level: i for i, level in enumerate(levels)}
+            codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+            blocks.append(codes == np.arange(len(levels))[:, None])
         else:  # binary
             indicators.append(Indicator(name=spec.name, source_column=spec.name, kind="binary"))
             blocks.append(np.asarray(values, dtype=np.float64)[None])
@@ -382,31 +384,6 @@ def binarize(
     )
 
 
-def _one_hot(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """A categorical column's sorted levels and its (levels, rows) boolean one-hot block."""
-    levels = sorted(set(values))
-    code = {level: i for i, level in enumerate(levels)}
-    codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-    return levels, codes == np.arange(len(levels))[:, None]
-
-
-def raw_feature_matrix(raw: RawDataset) -> tuple[tuple[str, ...], np.ndarray]:
-    """Feature matrix without numeric binning: numeric and binary columns
-    pass through, categoricals become one-hot indicators."""
-    names: list[str] = []
-    blocks: list[np.ndarray] = []
-    for ci, spec in enumerate(raw.specs):
-        values = [row[ci] for row in raw.rows]
-        if spec.kind == "categorical":
-            levels, block = _one_hot(values)
-            names.extend(f"{spec.name}={level}" for level in levels)
-            blocks.append(block)
-        else:
-            names.append(spec.name)
-            blocks.append(np.asarray(values, dtype=np.float64)[None])
-    return tuple(names), np.vstack(blocks).T.astype(np.float64, order="C")
-
-
 @dataclass(frozen=True)
 class SplitIndices:
     train: tuple[int, ...]
@@ -415,12 +392,19 @@ class SplitIndices:
     seed: int
 
 
-def split_stratified(n_instances: int, labels: Sequence[int], seed: int) -> SplitIndices:
+def split_stratified(
+    n_instances: int,
+    labels: Sequence[int],
+    seed: int,
+    *,
+    label_names: Sequence[str] | None = None,
+) -> SplitIndices:
     """Per-class shuffled 70/10/20 partition, deterministic under the seed.
 
     Index lists come out sorted; shuffling only decides which rows land in
     which part. Requires >= 10 instances, >= 2 classes, and >= 3 instances
-    in every class.
+    in every class; the error names a small class by ``label_names[c]``
+    when given, else by its index.
     """
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != n_instances:
@@ -432,7 +416,8 @@ def split_stratified(n_instances: int, labels: Sequence[int], seed: int) -> Spli
         raise StratificationError("need at least 2 classes to stratify")
     small = classes[counts < 3]
     if small.size:
-        raise StratificationError(f"classes {small.tolist()} have fewer than 3 instances")
+        named = [label_names[c] for c in small] if label_names is not None else small.tolist()
+        raise StratificationError(f"classes {named} have fewer than 3 instances")
 
     rng = np.random.default_rng(seed)
     train: list[int] = []

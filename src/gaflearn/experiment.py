@@ -20,14 +20,7 @@ from typing import Callable, Sequence, get_type_hints
 import numpy as np
 
 from .baselines import Metrics, evaluate_metrics, train_logistic, train_tree
-from .data import (
-    BinarizedDataset,
-    binarize,
-    load_csv,
-    load_schema,
-    raw_feature_matrix,
-    split_stratified,
-)
+from .data import BinarizedDataset, binarize, load_csv, load_schema, split_stratified
 from .errors import ConfigError, StratificationError
 from .ga import GaConfig, GenerationStats, evolve
 from .model_io import to_json
@@ -69,7 +62,6 @@ class ExperimentConfig:
     bins_per_numeric: int = 3
     bin_fit: str = "train"  # "train" fits numeric thresholds per run, "all" on every row
     hidden_layers: tuple[int, ...] = (12,)
-    tree_features: str = "binarized"  # "binarized" or "raw"
     ga: GaConfig  # seed 0; ga_config(seed) gives a run's
     train: TrainConfig
 
@@ -83,10 +75,6 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_layers sizes must be >= 1, got {list(self.hidden_layers)}")
         if self.bin_fit not in ("train", "all"):
             raise ConfigError(f"bin_fit must be 'train' or 'all', got {self.bin_fit!r}")
-        if self.tree_features not in ("binarized", "raw"):
-            raise ConfigError(
-                f"tree_features must be 'binarized' or 'raw', got {self.tree_features!r}"
-            )
 
     def ga_config(self, seed: int) -> GaConfig:
         return replace(self.ga, seed=seed)
@@ -274,7 +262,7 @@ class _Run:
 
     index: int
     seed: int
-    binarized: BinarizedDataset | None  # None when a tree runs on raw columns
+    binarized: BinarizedDataset
     train: tuple[np.ndarray, np.ndarray]
     validation: tuple[np.ndarray, np.ndarray]
     test: tuple[np.ndarray, np.ndarray]
@@ -297,22 +285,19 @@ def _run_experiment(
     fit: Callable[[_Run], _Fitted],
     echo: Callable[[str], None] | None,
     resolved: dict,
-    raw_features: bool = False,
     announce: bool = False,
 ) -> list[RunRecord]:
     """Load the dataset, fit and score every seeded run, write the summary files.
 
-    ``raw_features`` gives the fit the raw feature columns instead of the
-    binarized indicators; ``announce`` echoes the dataset's shape first.
-    ``resolved`` is merged into resolved_config.json.
+    The output directory is made with the first artifact, so a dataset that
+    cannot be split leaves nothing behind. ``announce`` echoes the dataset's
+    shape first; ``resolved`` is merged into resolved_config.json.
     """
     say = echo if echo is not None else lambda _msg: None
     schema = load_schema(config.schema_path)
     raw = load_csv(config.dataset_path, schema)
     labels_all = raw.label_indices()
     n_classes = len(raw.label_values)
-    raw_matrix = raw_feature_matrix(raw)[1] if raw_features else None
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     if announce:
         say(
             f"{raw.n_instances} instances, {len(raw.feature_names)} features, "
@@ -324,16 +309,14 @@ def _run_experiment(
         t0 = time.perf_counter()
         run_seed = run_seed_for(config.seed, r)
         try:
-            split = split_stratified(raw.n_instances, labels_all, seed=run_seed)
+            split = split_stratified(
+                raw.n_instances, labels_all, seed=run_seed, label_names=raw.label_values
+            )
         except StratificationError as exc:
             raise StratificationError(f"{config.dataset_path}: {exc}") from None
-        binz = None
-        if raw_matrix is not None:
-            x, y = raw_matrix, labels_all
-        else:
-            fit_rows = split.train if config.bin_fit == "train" else None
-            binz = binarize(raw, config.bins_per_numeric, fit_indices=fit_rows)
-            x, y = binz.matrix, binz.labels
+        fit_rows = split.train if config.bin_fit == "train" else None
+        binz = binarize(raw, config.bins_per_numeric, fit_indices=fit_rows)
+        x, y = binz.matrix, binz.labels
         run = _Run(
             index=r,
             seed=run_seed,
@@ -366,6 +349,7 @@ def _run_experiment(
             f"{fitted.progress} ({wall:.1f}s)"
         )
 
+    config.out_dir.mkdir(parents=True, exist_ok=True)  # a tree run saves nothing itself
     write_summary_csv(config.out_dir / "summary.csv", records)
     write_timings_csv(config.out_dir / "timings.csv", records)
     _write_resolved_config(config, resolved)
@@ -493,5 +477,4 @@ def run_baseline_experiment(
         fit_logistic if kind == "logistic" else fit_tree,
         echo,
         {"command": "baseline", "kind": kind, "max_depth": max_depth},
-        raw_features=kind == "tree" and config.tree_features == "raw",
     )

@@ -263,9 +263,9 @@ def layer_preactivation(
 
     ``strengths[src]`` is the (batch, size) strength matrix of layer src;
     the sum runs over the blocks into ``t`` in their sorted order. Every
-    forward pass (evaluation, batched distributions, training and the
-    strength trajectory) aggregates through this one function. A stack of
-    P nets has (P, ...) weights, biases and strengths; inputs may be shared.
+    forward pass (evaluation, batched distributions and training)
+    aggregates through this one function. A stack of P nets has (P, ...)
+    weights, biases and strengths; inputs may be shared.
     """
     z = None
     for (src, dst, _), w in zip(blocks, weights):
@@ -304,19 +304,6 @@ def forward_pass(
     return strengths, z
 
 
-def _check_input(gaf: LayeredGaf, input_strengths: Sequence[float]) -> np.ndarray:
-    x = np.asarray(input_strengths, dtype=np.float64)
-    n_in = gaf.layer_sizes[0]
-    if x.ndim != 1 or x.shape[0] != n_in:
-        raise InputShapeError(
-            f"expected {n_in} input strengths, got shape {x.shape}"
-        )
-    # NaN fails both comparisons, so this also rejects non-finite values
-    if not ((x >= 0).all() and (x <= 1).all()):
-        raise InputShapeError("input strengths must be finite values in [0,1]")
-    return x
-
-
 def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretation:
     """Compute every argument's strength and the softmax class distribution.
 
@@ -329,7 +316,13 @@ def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretatio
     :func:`output_distributions`, so the two agree exactly on it.
     Pure and deterministic: identical inputs give bit-identical outputs.
     """
-    x = _check_input(gaf, input_strengths)
+    x = np.asarray(input_strengths, dtype=np.float64)
+    n_in = gaf.layer_sizes[0]
+    if x.ndim != 1 or x.shape[0] != n_in:
+        raise InputShapeError(f"expected {n_in} input strengths, got shape {x.shape}")
+    # NaN fails both comparisons, so this also rejects non-finite values
+    if not ((x >= 0).all() and (x <= 1).all()):
+        raise InputShapeError("input strengths must be finite values in [0,1]")
     per_layer, z_out = forward_pass(*gaf._decomposition(), x[None, :])
     per_layer.append(expit(z_out))
     strengths: dict[str, float] = {}
@@ -343,34 +336,6 @@ def output_distributions(gaf: LayeredGaf, matrix: np.ndarray) -> np.ndarray:
     """Batched class distributions, one row per instance."""
     _, z_out = forward_pass(*gaf._decomposition(), matrix)
     return softmax_rows(z_out)
-
-
-def strength_trajectory(
-    gaf: LayeredGaf, input_strengths: Sequence[float], iterations: int
-) -> list[np.ndarray]:
-    """Synchronous strength updates, returning vectors for iterations 0..n.
-
-    Iteration 0 is the base-score vector with inputs at their given values;
-    every later iteration updates all non-input arguments at once from the
-    previous vector. For a graph of depth d the vectors are constant from
-    iteration d onward, and equal to :func:`evaluate`'s strengths.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    x = _check_input(gaf, input_strengths)
-    structure, weights, biases = gaf._decomposition()
-    layers = [x[None, :]] + [
-        np.array([[a.base_score for a in layer]], dtype=np.float64) for layer in gaf.layers[1:]
-    ]
-    out = [np.concatenate(layers, axis=1)[0]]
-    for _ in range(iterations):
-        previous = layers
-        layers = [x[None, :]] + [
-            expit(layer_preactivation(previous, structure.blocks, weights, biases[t - 1], t))
-            for t in range(1, len(previous))
-        ]
-        out.append(np.concatenate(layers, axis=1)[0])
-    return out
 
 
 def live_units(structure: GafStructure) -> list[np.ndarray]:

@@ -34,6 +34,8 @@ from gaflearn.util import derive_seed, softmax_rows
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DATA = ROOT / "data"
+# configs/iris.json's summary.csv and generations.csv files at master seed 0
+IRIS_REFERENCE = Path(__file__).resolve().parent / "reference" / "iris_seed0"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -335,6 +337,16 @@ def test_criterion_8_determinism(iris_experiment):
         if identical
         else "summaries differ between identically-seeded executions",
     )
+
+
+def test_iris_seed0_matches_the_reference_files(iris_experiment):
+    # a change that alters the models replaces these files and says why;
+    # model.json is left out, as its full-precision floats can move with
+    # the numpy build
+    base = iris_experiment[3] / "gaf"
+    names = ["summary.csv", *(f"run_{r:02d}/generations.csv" for r in range(10))]
+    differ = [n for n in names if (base / n).read_bytes() != (IRIS_REFERENCE / n).read_bytes()]
+    assert not differ, f"differ from {IRIS_REFERENCE}: {differ}"
 
 
 # -- criterion 6: Mushroom reproduction (needs the fetched dataset) ---------

@@ -1,4 +1,4 @@
-"""Command-line behaviour: exit codes, artifacts, export and trace output."""
+"""Command-line behaviour: exit codes, artifacts, export and strength output."""
 
 import csv
 import io
@@ -8,6 +8,7 @@ import pytest
 
 from gaflearn import experiment, ga
 from gaflearn.cli import main
+from gaflearn.graph import evaluate
 from gaflearn.model_io import from_json, to_json
 
 from test_experiment import write_toy_config, write_toy_dataset
@@ -333,28 +334,27 @@ def test_dataset_that_cannot_be_stratified_exits_2_naming_the_file(tmp_path, cap
     cfg = write_toy_config(tmp_path, runs=1)
     assert run_cli(command, *kind, "--config", cfg, "--out", tmp_path / "out") == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {dataset}: classes "), lines
-    assert "fewer than 3 instances" in lines[0], lines
+    # the class is named by its label, not by its index
+    assert lines == [f"error: {dataset}: classes ['pos'] have fewer than 3 instances"], lines
+    # the output directory is made with the first artifact, so none is left behind
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_semantics_trace(tmp_path, capsys):
     model = trained_model_path(tmp_path)
     capsys.readouterr()
-    assert (
-        run_cli("run-semantics", "--model", model, "--instance", "1,0", "--iterations", "4")
-        == 0
-    )
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert run_cli("run-semantics", "--model", model, "--instance", "1,0") == 0
+    out = capsys.readouterr().out
     gaf, _ = from_json(model.read_text())
     args = gaf.arguments()
-    assert rows[0] == ["iteration", *[a.name for a in args]]
-    assert len(rows) == 1 + 5  # header + iterations 0..4
-    # iteration 0 carries the inputs and raw base scores
-    first = [float(v) for v in rows[1][1:]]
-    assert first[0] == 1.0 and first[1] == 0.0
-    assert first[2:] == [a.base_score for a in args[2:]]
-    # the graph has depth 2, so iterations 2..4 are identical
-    assert rows[3][1:] == rows[4][1:] == rows[5][1:]
+    strengths = evaluate(gaf, [1.0, 0.0]).strengths
+    # a header of argument names, layer-major, and one row of evaluate's strengths
+    assert out.splitlines() == [
+        ",".join(a.name for a in args),
+        ",".join(repr(strengths[a.id]) for a in args),
+    ]
+    row = [float(v) for v in out.splitlines()[1].split(",")]
+    assert row[:2] == [1.0, 0.0]  # inputs carry the instance's values
 
 
 def test_run_semantics_writes_file(tmp_path):
@@ -364,7 +364,13 @@ def test_run_semantics_writes_file(tmp_path):
         run_cli("run-semantics", "--model", model, "--instance", "0,1", "--out", out_path)
         == 0
     )
-    assert out_path.read_text().startswith("iteration,")
+    gaf, _ = from_json(model.read_text())
+    strengths = evaluate(gaf, [0.0, 1.0]).strengths
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
+    assert rows == [
+        [a.name for a in gaf.arguments()],
+        [repr(strengths[a.id]) for a in gaf.arguments()],
+    ]
 
 
 def test_run_semantics_rejects_bad_instances(tmp_path, capsys):

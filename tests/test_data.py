@@ -12,7 +12,6 @@ from gaflearn.data import (
     binarize,
     load_csv,
     load_schema,
-    raw_feature_matrix,
     schema_from_dict,
     split_stratified,
 )
@@ -219,17 +218,6 @@ def test_binarize_matches_indicator_predicates_and_stays_one_hot(table):
             cols = [i for i, ind in enumerate(binz.indicators) if ind.source_column == spec.name]
             assert (binz.matrix[:, cols].sum(axis=1) == 1).all()
     assert binz.labels.tolist() == [raw.label_values.index(l) for l in raw.labels]
-
-    names, matrix = raw_feature_matrix(raw)
-    want_names, want_cols = [], []
-    for spec, values in zip(raw.specs, zip(*raw.rows)):
-        levels = sorted(set(values)) if spec.kind == "categorical" else [None]
-        for level in levels:
-            want_names.append(spec.name if level is None else f"{spec.name}={level}")
-            want_cols.append([float(v) if level is None else float(v == level) for v in values])
-    assert names == tuple(want_names)
-    assert matrix.dtype == np.float64 and matrix.flags["C_CONTIGUOUS"]
-    assert np.array_equal(matrix, np.array(want_cols).T)
 
 
 def test_fit_indices_restrict_threshold_estimation(tmp_path):
@@ -473,31 +461,7 @@ def test_split_rejects_degenerate_inputs():
         split_stratified(8, [0, 0, 0, 0, 1, 1, 1, 1], seed=0)
     with pytest.raises(StratificationError, match="2 classes"):
         split_stratified(10, [0] * 10, seed=0)
-    with pytest.raises(StratificationError, match="fewer than 3"):
+    with pytest.raises(StratificationError, match=r"classes \[1\] have fewer than 3"):
         split_stratified(12, [0] * 10 + [1] * 2, seed=0)
-
-
-def test_raw_feature_matrix_mixes_kinds(tmp_path):
-    schema = make_schema(
-        {
-            "age": {"kind": "numeric"},
-            "color": {"kind": "categorical"},
-            "flag": {"kind": "binary"},
-        }
-    )
-    rows = [
-        (18, "red", 1, "a"),
-        (30, "blue", 0, "b"),
-        (45, "red", 1, "a"),
-    ]
-    raw = raw_from_table(tmp_path, ["age", "color", "flag", "y"], rows, schema)
-    names, matrix = raw_feature_matrix(raw)
-    assert names == ("age", "color=blue", "color=red", "flag")
-    expected = np.array(
-        [
-            [18.0, 0.0, 1.0, 1.0],
-            [30.0, 1.0, 0.0, 0.0],
-            [45.0, 0.0, 1.0, 1.0],
-        ]
-    )
-    assert np.array_equal(matrix, expected)
+    with pytest.raises(StratificationError, match=r"classes \['b'\] have fewer than 3"):
+        split_stratified(12, [0] * 10 + [1] * 2, seed=0, label_names=("a", "b"))

@@ -75,7 +75,6 @@ def test_config_loader_resolves_paths_and_defaults(tmp_path):
     assert config.bins_per_numeric == 3
     assert config.bin_fit == "train"
     assert config.hidden_layers == (2,)
-    assert config.tree_features == "binarized"
     assert config.ga.lam == 0.1
     assert config.ga_config(5).seed == 5
     assert config.train.learning_rate == 0.5
@@ -121,6 +120,19 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="train"):
         load_experiment_config(path)
+
+
+def test_retired_tree_features_key_exits_2_naming_it(tmp_path, capsys):
+    # trees read the binarized indicators, as every model does
+    write_toy_dataset(tmp_path)
+    for value in ("binarized", "raw"):
+        path = write_toy_config(tmp_path, tree_features=value)
+        out = tmp_path / "tree"
+        assert main(["baseline", "--kind", "tree", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: unknown keys ['tree_features']"
+        ]
+        assert not out.exists()
 
 
 def test_config_names_missing_files(tmp_path):
@@ -169,7 +181,7 @@ def test_config_reports_bad_hyperparameters_with_path(tmp_path):
         ("bins_per_numeric", 3.0),
         ("bin_fit", "test"),
         ("bin_fit", 1),
-        ("tree_features", "x"),
+        ("schema", ""),
         ("hidden_layers", 3),
         ("hidden_layers", [0]),
         ("hidden_layers", [2.0]),
@@ -412,18 +424,6 @@ def test_tree_baseline_counts_internal_nodes(tmp_path):
     assert records[0].test_accuracy == 1.0
     assert records[0].generations_run == 0
     assert (tmp_path / "tree" / "summary.csv").is_file()
-
-
-def test_tree_baseline_on_raw_features(tmp_path):
-    # y == x1 needs one split; y == x1 xor x2 needs a root and two child splits
-    for rule, splits in ((lambda x1, x2: x1 == 1, 1), (lambda x1, x2: x1 != x2, 3)):
-        write_toy_dataset(tmp_path, rule=rule)
-        config = load_experiment_config(
-            write_toy_config(tmp_path, runs=1, tree_features="raw"), out=tmp_path / "t"
-        )
-        records = run_baseline_experiment(config, "tree", max_depth=2)
-        assert records[0].test_accuracy == 1.0
-        assert records[0].n_connections == splits  # the tree's non-leaf nodes
 
 
 def test_baseline_rejects_unknown_kind(tmp_path):

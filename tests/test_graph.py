@@ -22,7 +22,6 @@ from gaflearn import (
     evaluate,
     output_distributions,
     prune_inert_edges,
-    strength_trajectory,
 )
 from gaflearn.graph import live_units
 
@@ -86,35 +85,13 @@ def chain_gaf():
     return LayeredGaf(layers, edges)
 
 
-def test_chain_trajectory_step_by_step():
-    traj = strength_trajectory(chain_gaf(), [1.0], iterations=5)
-    s_b1 = sigma(1.0)
-    expected = [
-        [1.0, 0.5, 0.5],
-        [1.0, s_b1, sigma(-0.5)],
-        [1.0, s_b1, sigma(-s_b1)],
-    ]
-    for got, want in zip(traj, expected):
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
-    # constant from iteration 2 (= depth) onward
-    for later in traj[3:]:
-        assert np.array_equal(later, traj[2])
-
-
-def test_trajectory_iteration_zero_is_base_scores_with_inputs():
-    traj = strength_trajectory(chain_gaf(), [0.25], iterations=0)
-    assert len(traj) == 1
-    assert np.array_equal(traj[0], [0.25, 0.5, 0.5])
-
-
-def test_trajectory_converges_to_evaluate():
-    rng = np.random.default_rng(7)
-    gaf = random_gaf(rng, sizes=(4, 3, 2), skip=True)
-    x = rng.uniform(size=4)
-    traj = strength_trajectory(gaf, x, iterations=gaf.depth)
-    interp = evaluate(gaf, x)
-    ordered = [interp.strengths[a.id] for a in gaf.arguments()]
-    assert np.allclose(traj[-1], ordered, rtol=0, atol=1e-12)
+def test_chain_strengths_follow_the_layers():
+    # one forward sweep: c reads b's final strength, not its base score
+    strengths = evaluate(chain_gaf(), [1.0]).strengths
+    s_b = sigma(1.0)
+    assert np.allclose(
+        [strengths[a] for a in "abc"], [1.0, s_b, sigma(-s_b)], rtol=0, atol=1e-12
+    )
 
 
 def random_gaf(rng, sizes=(3, 4, 2), skip=False, keep=1.0):
@@ -210,10 +187,6 @@ def test_batch_distributions_match_single_evaluation():
             # multi-row one (gemm), so rows of a larger batch may differ
             # from it in the last bits
             assert np.allclose(interp.output_distribution, row, rtol=0, atol=1e-12)
-            trajectory = strength_trajectory(gaf, x, iterations=gaf.depth)
-            assert np.array_equal(
-                trajectory[-1], [interp.strengths[a.id] for a in gaf.arguments()]
-            )
 
 
 def test_connection_count_is_number_of_edges():
