@@ -113,6 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, lam=None):
+    if args.out == "":  # it would resolve to the working directory
+        raise ConfigError("--out must be a non-empty path, got ''")
     return load_experiment_config(
         args.config,
         seed=args.seed,
@@ -165,6 +167,8 @@ def _read_model(path_str: str):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
+    elif Path(out).name in ("", ".."):  # '', '.' or '..' name no file
+        raise ConfigError(f"--out must name a file, got {out!r}")
     else:
         write_text_atomic(out, text)
 

@@ -158,10 +158,11 @@ def _utf8_lines(fh, path: str | Path):
 def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
     """Parse a CSV under the schema; drops and counts rows with the missing marker.
 
-    Field values are stripped of surrounding whitespace. Parse failures name
-    the offending line (1-based, header is line 1) and column.
+    Field values are stripped of surrounding whitespace. A leading UTF-8
+    byte-order mark, as spreadsheet programs write, is skipped. Parse failures
+    name the offending line (1-based, header is line 1) and column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)

@@ -8,7 +8,9 @@ layer sizes. Each individual is evaluated by training its weights
 sparsity: f = (1-lambda)*accuracy + lambda*(N_poss-N_conn)/N_poss.
 Selection is q-tournament, recombination k-point crossover, mutation
 per-bit flips, replacement elitist. Everything is deterministic under the
-config seed; each generation's rows new to the run train as one stack.
+config seed. A run's state is one :class:`Search`: it asks for the rows new
+to the run and is told their training results, and :func:`evolve` is that
+loop, training each generation's asked rows as one stack.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def elitist_replace(
     return elites + list(offspring[:needed])
 
 
-# -- fitness evaluation ----------------------------------------------------
+# -- the search ------------------------------------------------------------
 
 def live_row(bits: np.ndarray, layer_sizes: Sequence[int]) -> np.ndarray:
     """The row without its edges into dead units (see :func:`graph.live_units`)."""
@@ -244,42 +246,77 @@ def live_row(bits: np.ndarray, layer_sizes: Sequence[int]) -> np.ndarray:
     return np.concatenate(kept).astype(np.uint8)
 
 
-@dataclass
-class _Evaluator:
-    """Trains each live row once per run; rows new to the run train together.
+class Search:
+    """One run's search state, stepped by asking for rows and telling results.
 
-    Each row becomes its live row before it is trained, scored or kept, so
-    the fitness counts the edges the model exports. A row's seed comes from
-    the run seed and the row. ``memo`` maps a live row's bytes to its one
-    record for the rest of the run: a row that comes back later is the same
-    :class:`EvaluatedIndividual` object. Results do not depend on which rows
-    share a stack wherever BLAS adds each product's terms in index order
-    (OpenBLAS 0.3.31 does for products of at most 15 terms).
+    :meth:`ask` turns the rows waiting to be scored (``pending``) into live
+    rows, so the fitness counts the edges the model exports, and returns the
+    structures and seeds (from the run seed and the row) of those new to the
+    run: the arguments of :func:`train_population`. :meth:`tell` scores the
+    results into ``memo``, which maps a live row's bytes to its one record
+    for the rest of the search; forms and logs the population; and, unless
+    ``done``, breeds the next rows. Results do not depend on which rows, or
+    which searches' rows, share a stack wherever BLAS adds each product's
+    terms in index order (OpenBLAS 0.3.31 does for at most 15 terms).
     """
 
-    data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y train; x, y val
-    layer_sizes: tuple[int, ...]
-    master_seed: int
-    lam: float
-    train_config: TrainConfig
-    memo: dict[bytes, EvaluatedIndividual] = field(default_factory=dict)
+    def __init__(self, layer_sizes: Sequence[int], config: GaConfig) -> None:
+        self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        self.config = config
+        self.rng = np.random.default_rng(derive_seed(config.seed, "ga"))
+        self.memo: dict[bytes, EvaluatedIndividual] = {}
+        self.population: list[EvaluatedIndividual] = []
+        self.log: list[GenerationStats] = []
+        self.stall = 0
+        self.done = False
+        self.pending = init_population(config, self.layer_sizes, self.rng)
 
-    def evaluate(self, rows: list[np.ndarray]) -> list[EvaluatedIndividual]:
-        rows = [live_row(bits, self.layer_sizes) for bits in rows]
-        keys = [bits.tobytes() for bits in rows]
-        fresh = {key: bits for key, bits in zip(keys, rows) if key not in self.memo}
-        results = train_population(
-            [decode(bits, self.layer_sizes) for bits in fresh.values()],
-            *self.data,
-            self.train_config,
-            [derive_seed(self.master_seed, key.hex()) for key in fresh],
-        )
+    def _fresh(self) -> dict[bytes, np.ndarray]:
+        keys = [bits.tobytes() for bits in self.pending]
+        return {key: bits for key, bits in zip(keys, self.pending) if key not in self.memo}
+
+    def ask(self) -> tuple[list[GafStructure], list[int]]:
+        self.pending = [live_row(bits, self.layer_sizes) for bits in self.pending]
+        fresh = self._fresh()
+        structures = [decode(bits, self.layer_sizes) for bits in fresh.values()]
+        return structures, [derive_seed(self.config.seed, key.hex()) for key in fresh]
+
+    def tell(self, results: Sequence[TrainResult]) -> None:
+        c, fresh = self.config, self._fresh()
+        if len(results) != len(fresh):
+            raise InputShapeError(f"asked for {len(fresh)} results, told {len(results)}")
         for (key, bits), result in zip(fresh.items(), results):
             n_conn = int(bits.sum())
-            self.memo[key] = EvaluatedIndividual(
-                bits, fitness(result.train_accuracy, n_conn, len(bits), self.lam), n_conn, result
-            )
-        return [self.memo[key] for key in keys]
+            score = fitness(result.train_accuracy, n_conn, len(bits), c.lam)
+            self.memo[key] = EvaluatedIndividual(bits, score, n_conn, result)
+        scored = [self.memo[bits.tobytes()] for bits in self.pending]
+        self.population = (
+            elitist_replace(self.population, scored, c.elitist_fraction) if self.log else scored
+        )
+        self.log.append(_stats(self.population, len(self.log)))
+        if len(self.log) > 1:
+            gain = self.log[-1].best_fitness - self.log[-2].best_fitness
+            self.stall = self.stall + 1 if gain <= c.ga_tolerance else 0
+        self.done = self.stall >= c.ga_patience or len(self.log) > c.generations
+        if not self.done:
+            self.pending = self._breed()
+
+    def _breed(self) -> list[np.ndarray]:
+        """Tournament selection, k-point crossover and flip mutation, in that order."""
+        c, rng, n = self.config, self.rng, len(self.population)
+        n_offspring = n - math.ceil(c.elitist_fraction * n)
+        pool = [tournament_select(self.population, c.q, rng) for _ in range(n_offspring)]
+        children: list[np.ndarray] = []
+        for p1, p2 in zip(pool[::2], pool[1::2]):
+            children.extend(k_point_crossover(p1.bits, p2.bits, c.k, rng, c.crossover_rate))
+        if len(children) < n_offspring:  # odd pool: clone the leftover parent
+            children.append(pool[-1].bits.copy())
+        return [flip_mutate(child, c.mutation_rate, rng) for child in children]
+
+    def best(self) -> EvaluatedIndividual:
+        """The first top-ranked record of the memo: every scored row joined a
+        population, so this is the best individual the search saw."""
+        return _population_best(list(self.memo.values()))
 
 
 def evolve(
@@ -291,61 +328,23 @@ def evolve(
     ga_config: GaConfig,
     train_config: TrainConfig,
 ) -> tuple[EvaluatedIndividual, list[GenerationStats]]:
-    """Run the full loop: evaluate, select, recombine, mutate, replace.
+    """Run one :class:`Search` to the end: ask, train, tell.
 
     Stops early once the best fitness has improved by at most ga_tolerance
-    for ga_patience consecutive generations. Returns the run's best, the first
-    top-ranked record of its memo, plus the per-generation log. Every population
-    row is a live row, trained once per call under a seed derived from (seed, row);
-    see _Evaluator for when training in stacks leaves results unchanged.
+    for ga_patience consecutive generations. Returns the search's best plus
+    the per-generation log. An error names the generation it arose in.
     """
-    sizes = tuple(int(s) for s in layer_sizes)
-    rng = np.random.default_rng(derive_seed(ga_config.seed, "ga"))
-    evaluator = _Evaluator(
-        (x_train, y_train, x_val, y_val), sizes, ga_config.seed, ga_config.lam, train_config
-    )
-    population = _with_context(evaluator, init_population(ga_config, sizes, rng), 0)
-    log = [_stats(population, 0)]
-    stall = 0
-
-    n = ga_config.population_size
-    n_offspring = n - math.ceil(ga_config.elitist_fraction * n)
-    for generation in range(1, ga_config.generations + 1):
-        pool = [tournament_select(population, ga_config.q, rng) for _ in range(n_offspring)]
-        children: list[np.ndarray] = []
-        for i in range(0, n_offspring - 1, 2):
-            c1, c2 = k_point_crossover(
-                pool[i].bits,
-                pool[i + 1].bits,
-                ga_config.k,
-                rng,
-                ga_config.crossover_rate,
+    search = Search(layer_sizes, ga_config)
+    while not search.done:
+        try:
+            structures, seeds = search.ask()
+            results = train_population(
+                structures, x_train, y_train, x_val, y_val, train_config, seeds
             )
-            children.extend((c1, c2))
-        if len(children) < n_offspring:  # odd pool: clone the leftover parent
-            children.append(pool[-1].bits.copy())
-        children = [flip_mutate(c, ga_config.mutation_rate, rng) for c in children]
-        offspring = _with_context(evaluator, children, generation)
-        population = elitist_replace(population, offspring, ga_config.elitist_fraction)
-
-        log.append(_stats(population, generation))
-        if log[-1].best_fitness - log[-2].best_fitness <= ga_config.ga_tolerance:
-            stall += 1
-        else:
-            stall = 0
-        if stall >= ga_config.ga_patience:
-            break
-    # every scored row joined a population, so the memo holds every candidate
-    return _population_best(list(evaluator.memo.values())), log
-
-
-def _with_context(
-    evaluator: _Evaluator, rows: list[np.ndarray], generation: int
-) -> list[EvaluatedIndividual]:
-    try:
-        return evaluator.evaluate(rows)
-    except GafError as exc:
-        raise type(exc)(f"generation {generation}: {exc}") from exc
+        except GafError as exc:
+            raise type(exc)(f"generation {len(search.log)}: {exc}") from exc
+        search.tell(results)
+    return search.best(), search.log
 
 
 def _population_best(population: list[EvaluatedIndividual]) -> EvaluatedIndividual:

@@ -178,6 +178,38 @@ def trained_model_path(tmp_path):
     return tmp_path / "out" / "run_00" / "model.json"
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("train", ""),
+        ("baseline", ""),
+        ("export", ""),
+        ("export", "."),
+        ("run-semantics", ""),
+        ("run-semantics", ".."),
+    ],
+    ids=["train", "baseline", "export", "export-dot", "run-semantics", "run-semantics-dotdot"],
+)
+def test_out_that_names_no_path_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, out):
+    if command in ("train", "baseline"):
+        write_toy_dataset(tmp_path)
+        kind = ["--kind", "logistic"] if command == "baseline" else []
+        args = [*kind, "--config", write_toy_config(tmp_path), "--runs", "1"]
+    else:
+        instance = ["--instance", "1,0"] if command == "run-semantics" else []
+        args = ["--model", trained_model_path(tmp_path), *instance]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    assert run_cli(command, *args, "--out", out) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --out "), lines
+    assert captured.out == ""
+    assert list(work.iterdir()) == []  # nothing written to the working directory
+
+
 def test_export_dot_to_stdout(tmp_path, capsys):
     model = trained_model_path(tmp_path)
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Loading, binarization, and split behaviour on small hand-checked tables."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from gaflearn.data import (
     split_stratified,
 )
 from gaflearn.errors import ParseError, SchemaError, StratificationError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_schema(columns, label="y", **extra):
@@ -276,6 +280,18 @@ def test_load_csv_rejects_bad_arity_with_line_number(tmp_path):
     path.write_text("x,y\n1,a\n2,b,EXTRA\n")
     with pytest.raises(ParseError, match="line 3"):
         load_csv(path, NUM_SCHEMA)
+
+
+def test_load_csv_skips_a_byte_order_mark_and_keeps_line_numbers(tmp_path):
+    schema = load_schema(ROOT / "configs" / "iris.schema.json")
+    original = (ROOT / "data" / "iris.csv").read_bytes()
+    marked = tmp_path / "iris.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + original)
+    assert load_csv(marked, schema) == load_csv(ROOT / "data" / "iris.csv", schema)
+    n_lines = original.count(b"\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + original + b"1,2,3\n")
+    with pytest.raises(ParseError, match=f"line {n_lines + 1}: expected 5 fields, got 3"):
+        load_csv(marked, schema)
 
 
 def test_load_csv_rejects_non_numeric_value(tmp_path):

@@ -519,11 +519,36 @@ def test_live_row_keeps_exactly_the_edges_into_live_units(sizes, data):
 SMALL_SIZES = (3, 3, 2)
 
 
-def small_evaluator(seed):
+def small_data():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 2, size=(24, 3)).astype(np.float64)
     y = (x[:, 0] + x[:, 1] >= 1).astype(np.int64)
-    return ga._Evaluator((x, y, x, y), SMALL_SIZES, seed, 0.1, toy_train_config())
+    return x, y
+
+
+def small_search(seed):
+    config = GaConfig(
+        population_size=2,
+        generations=2,
+        crossover_rate=0.9,
+        mutation_rate=0.1,
+        elitist_fraction=0.0,
+        lam=0.1,
+        n_conn_init=(3, 2),
+        q=2,
+        seed=seed,
+        ga_patience=2,
+    )
+    return ga.Search(SMALL_SIZES, config)
+
+
+def step(search, x, y, rows=None):
+    """One generation by hand; rows, when given, replace the pending rows."""
+    if rows is not None:
+        search.pending = rows
+    structures, seeds = search.ask()
+    search.tell(ga.train_population(structures, x, y, x, y, toy_train_config(), seeds))
+    return search.population
 
 
 def record_trainings(monkeypatch):
@@ -548,28 +573,27 @@ def assert_same_training(a, b):
 
 def test_memo_hit_in_a_later_generation_equals_training_the_row_alone(monkeypatch):
     calls = record_trainings(monkeypatch)
-    evaluator = small_evaluator(5)
+    search, (x, y) = small_search(5), small_data()
     # hidden argument 2 has two inputs but no path to an output: it is dead
     row = bits("101" "000" "001" "10" "01" "00")
     live = bits("100" "000" "000" "10" "01" "00")
     other = bits("010" "100" "000" "01" "10" "00")
-    first = evaluator.evaluate([row, other])
+    first = step(search, x, y, [row, other])
     assert np.array_equal(first[0].bits, live)
-    later = evaluator.evaluate([bits("110" "000" "000" "11" "00" "00"), row])
+    later = step(search, x, y, [bits("110" "000" "000" "11" "00" "00"), row])
     assert len(calls) == 2 and len(calls[1][0]) == 1
     assert not any(np.array_equal(r, live) for r in calls[1][0])  # not trained again
     hit = later[1]
-    assert hit is first[0]  # the memo's one record for the row
+    assert hit is first[0] is search.memo[live.tobytes()]  # the memo's one record for the row
     assert np.array_equal(hit.bits, live) and hit.result is first[0].result
     assert hit.n_connections == 3
 
-    x, y = evaluator.data[:2]
     seed = derive_seed(5, live.tobytes().hex())
     assert calls[0][1][0] == seed
     assert_same_training(hit.result, train(decode(live, SMALL_SIZES), x, y, x, y,
-                                           evaluator.train_config, seed))
+                                           toy_train_config(), seed))
     # the row with its dead edges trains to the same live weights and history
-    raw = train(decode(row, SMALL_SIZES), x, y, x, y, evaluator.train_config, seed)
+    raw = train(decode(row, SMALL_SIZES), x, y, x, y, toy_train_config(), seed)
     for w, w_live, mask in zip(raw.net.weights, hit.result.net.weights, hit.result.net.masks):
         assert np.array_equal(w * mask, w_live)
     for b, b_live in zip(raw.net.biases, hit.result.net.biases):
@@ -580,8 +604,9 @@ def test_memo_hit_in_a_later_generation_equals_training_the_row_alone(monkeypatc
 def test_runs_with_different_seeds_train_a_shared_row_under_different_seeds(monkeypatch):
     calls = record_trainings(monkeypatch)
     row = bits("100" "010" "000" "10" "01" "00")  # a live row
-    a = small_evaluator(1).evaluate([row])[0]
-    b = small_evaluator(2).evaluate([row])[0]
+    # twice, so that the population holds the q=2 rows a tournament draws
+    a = step(small_search(1), *small_data(), [row, row])[0]
+    b = step(small_search(2), *small_data(), [row, row])[0]
     seeds = [seed for _, call_seeds in calls for seed in call_seeds]
     key = row.tobytes().hex()
     assert seeds == [derive_seed(1, key), derive_seed(2, key)]
@@ -620,7 +645,7 @@ def test_evolve_trains_each_live_row_once_and_keeps_only_live_rows(monkeypatch):
         ga_patience=8,
         ga_tolerance=0.0,
     )
-    x, y = small_evaluator(0).data[:2]
+    x, y = small_data()
     best, log = evolve(x, y, x, y, sizes, config, toy_train_config())
 
     trained = [r.tobytes() for rows, _ in calls for r in rows]
@@ -652,7 +677,7 @@ def test_evolve_returns_the_earliest_top_ranked_individual_of_all_populations(mo
         return real_stats(population, generation)
 
     monkeypatch.setattr(ga, "_stats", recording_stats)
-    x, y = small_evaluator(0).data[:2]
+    x, y = small_data()
     left, tied = 0, 0
     for seed in range(6):
         populations.clear()
@@ -677,3 +702,87 @@ def test_evolve_returns_the_earliest_top_ranked_individual_of_all_populations(mo
         top_rank = (best.fitness, best.n_connections)
         tied += len({id(i) for i in seen if (i.fitness, i.n_connections) == top_rank}) > 1
     assert left and tied
+
+
+# -- stepping a search by hand ----------------------------------------------
+
+
+def search_config(seed, ga_patience=6):
+    return GaConfig(
+        population_size=8,
+        generations=6,
+        crossover_rate=0.9,
+        mutation_rate=0.05,
+        elitist_fraction=0.25,
+        lam=0.2,
+        n_conn_init=(3, 3, 2),
+        seed=seed,
+        ga_patience=ga_patience,
+        ga_tolerance=0.0,
+    )
+
+
+def assert_same_record(a, b):
+    assert np.array_equal(a.bits, b.bits)
+    assert (a.fitness, a.n_connections) == (b.fitness, b.n_connections)
+    assert_same_training(a.result, b.result)
+
+
+def test_driving_a_search_by_hand_equals_evolve(monkeypatch):
+    x, y = small_data()
+    sizes, config = (3, 3, 3, 2), search_config(4)
+    search = ga.Search(sizes, config)
+    while not search.done:
+        step(search, x, y)
+
+    ran = []
+
+    class Recorded(ga.Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ran.append(self)
+
+    monkeypatch.setattr(ga, "Search", Recorded)
+    best, log = evolve(x, y, x, y, sizes, config, toy_train_config())
+    assert len(log) > 2
+    assert search.log == log
+    assert list(search.memo) == list(ran[0].memo)
+    assert_same_record(search.best(), best)
+
+
+def test_searches_trained_in_one_stack_each_equal_their_own_evolve():
+    # the property that lets several runs train each generation as one stack
+    x, y = small_data()
+    sizes = (3, 3, 3, 2)
+    configs = [search_config(4), search_config(9, ga_patience=2)]
+    searches = [ga.Search(sizes, config) for config in configs]
+    shared = 0
+    while not all(search.done for search in searches):
+        live = [search for search in searches if not search.done]
+        asked = [search.ask() for search in live]
+        results = ga.train_population(
+            [s for structures, _ in asked for s in structures], x, y, x, y,
+            toy_train_config(), [seed for _, seeds in asked for seed in seeds],
+        )
+        for search, (structures, _) in zip(live, asked):
+            search.tell(results[: len(structures)])
+            results = results[len(structures):]
+        shared += sum(len(structures) > 0 for structures, _ in asked) == 2
+    assert shared and len(searches[0].log) != len(searches[1].log)
+    for search, config in zip(searches, configs):
+        best, log = evolve(x, y, x, y, sizes, config, toy_train_config())
+        assert search.log == log
+        assert_same_record(search.best(), best)
+
+
+def test_tell_with_a_result_count_other_than_asked_raises_naming_both():
+    search, (x, y) = small_search(0), small_data()
+    structures, seeds = search.ask()
+    results = ga.train_population(structures, x, y, x, y, toy_train_config(), seeds)
+    n = len(results)
+    for told in (results + results[:1], results[:-1]):
+        with pytest.raises(InputShapeError, match=rf"asked for {n} results, told {len(told)}"):
+            search.tell(told)
+    assert not search.memo and not search.log  # nothing was scored
+    search.tell(results)
+    assert len(search.memo) == n and len(search.log) == 1
