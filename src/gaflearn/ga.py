@@ -255,9 +255,10 @@ class Search:
     run: the arguments of :func:`train_population`. :meth:`tell` scores the
     results into ``memo``, which maps a live row's bytes to its one record
     for the rest of the search; forms and logs the population; and, unless
-    ``done``, breeds the next rows. Results do not depend on which rows, or
-    which searches' rows, share a stack wherever BLAS adds each product's
-    terms in index order (OpenBLAS 0.3.31 does for at most 15 terms).
+    ``done``, breeds the next rows. Once ``done``, both raise GafError.
+    Results do not depend on which rows, or which searches' rows, share a
+    stack wherever BLAS adds each product's terms in index order (OpenBLAS
+    0.3.31 does for at most 15 terms).
     """
 
     def __init__(self, layer_sizes: Sequence[int], config: GaConfig) -> None:
@@ -275,13 +276,19 @@ class Search:
         keys = [bits.tobytes() for bits in self.pending]
         return {key: bits for key, bits in zip(keys, self.pending) if key not in self.memo}
 
+    def _check_running(self) -> None:
+        if self.done:
+            raise GafError(f"the search is done after generation {len(self.log) - 1}")
+
     def ask(self) -> tuple[list[GafStructure], list[int]]:
+        self._check_running()
         self.pending = [live_row(bits, self.layer_sizes) for bits in self.pending]
         fresh = self._fresh()
         structures = [decode(bits, self.layer_sizes) for bits in fresh.values()]
         return structures, [derive_seed(self.config.seed, key.hex()) for key in fresh]
 
     def tell(self, results: Sequence[TrainResult]) -> None:
+        self._check_running()
         c, fresh = self.config, self._fresh()
         if len(results) != len(fresh):
             raise InputShapeError(f"asked for {len(fresh)} results, told {len(results)}")

@@ -240,11 +240,10 @@ class LayeredGaf:
             mask[si, ti] = True
         pairs = sorted(weights)
         structure = GafStructure(sizes, tuple((src, dst, present[(src, dst)]) for src, dst in pairs))
-        with np.errstate(divide="ignore"):
-            biases = [
-                logit(np.array([a.base_score for a in layer], dtype=np.float64))
-                for layer in self._layers[1:]
-            ]
+        biases = [
+            logit(np.array([a.base_score for a in layer], dtype=np.float64))
+            for layer in self._layers[1:]
+        ]
         self._decomposed = (structure, [weights[pair] for pair in pairs], biases)
         return self._decomposed
 
@@ -317,19 +316,18 @@ def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretatio
     Pure and deterministic: identical inputs give bit-identical outputs.
     """
     x = np.asarray(input_strengths, dtype=np.float64)
-    n_in = gaf.layer_sizes[0]
-    if x.ndim != 1 or x.shape[0] != n_in:
+    n_in = len(gaf.layers[0])
+    if x.shape != (n_in,):
         raise InputShapeError(f"expected {n_in} input strengths, got shape {x.shape}")
+    inputs = x.tolist()
     # NaN fails both comparisons, so this also rejects non-finite values
-    if not ((x >= 0).all() and (x <= 1).all()):
+    if not all(0.0 <= v <= 1.0 for v in inputs):
         raise InputShapeError("input strengths must be finite values in [0,1]")
     per_layer, z_out = forward_pass(*gaf._decomposition(), x[None, :])
-    per_layer.append(expit(z_out))
-    strengths: dict[str, float] = {}
-    for layer, values in zip(gaf.layers, per_layer):
-        for arg, v in zip(layer, values[0]):
-            strengths[arg.id] = float(v)
-    return Interpretation(strengths=strengths, output_distribution=softmax_rows(z_out)[0])
+    distribution = softmax_rows(z_out)[0]
+    values = [inputs, *(s[0].tolist() for s in per_layer[1:]), expit(z_out, out=z_out)[0].tolist()]
+    strengths = {arg.id: v for layer, vs in zip(gaf.layers, values) for arg, v in zip(layer, vs)}
+    return Interpretation(strengths=strengths, output_distribution=distribution)
 
 
 def output_distributions(gaf: LayeredGaf, matrix: np.ndarray) -> np.ndarray:
@@ -399,19 +397,13 @@ def build_gaf(
         raise InvalidGraphError(f"{len(class_labels)} labels for {sizes[-1]} outputs")
     layers: list[list[Argument]] = []
     for li, size in enumerate(sizes):
-        layer = []
-        for ai in range(size):
-            if li == 0:
-                name = input_names[ai]
-                beta = 0.5
-            else:
-                if li == len(sizes) - 1:
-                    name = str(class_labels[ai])
-                else:
-                    name = f"m{li}_{ai}"
-                beta = clamp_base_score(float(expit(biases[li - 1][ai])))
-            layer.append(Argument(id=f"a{li}_{ai}", name=name, layer_index=li, base_score=beta))
-        layers.append(layer)
+        if li == 0:
+            names, betas = input_names, [0.5] * size
+        else:
+            last = li == len(sizes) - 1
+            names = [str(class_labels[ai]) if last else f"m{li}_{ai}" for ai in range(size)]
+            betas = [clamp_base_score(b) for b in expit(biases[li - 1]).tolist()]
+        layers.append([Argument(f"a{li}_{ai}", names[ai], li, betas[ai]) for ai in range(size)])
     edges = []
     for (src, dst, mask), w in zip(structure.blocks, weights):
         rows, cols = np.nonzero(mask)

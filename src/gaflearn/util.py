@@ -9,7 +9,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, logit  # noqa: F401  (re-exported)
 
 from .errors import ConfigError
 
@@ -82,14 +81,47 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+@np.errstate(over="ignore")  # as a decorator it costs less than a with block
+def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic ``1 / (1 + exp(-x))`` of a float64 array, elementwise, in
+    place into ``out`` when given (it may be x).
+
+    The formula is scipy 1.17's ``scipy.special.expit``; numpy's exp may
+    differ from the C library's by a few ULP. exp's overflow is silenced, so
+    x <= -709.78 and -inf give exactly 0 and +inf exactly 1.
+    """
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1
+    return np.reciprocal(out, out=out)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def logit(p: np.ndarray) -> np.ndarray:
+    """The log-odds ``log(p / (1 - p))`` of p, elementwise, as a new float64 array.
+
+    As in scipy 1.17's ``scipy.special.logit``, p in [0.3, 0.65] takes
+    ``log1p(s) - log1p(-s)`` with ``s = 2 (p - 0.5)`` instead, which keeps
+    its precision near 0.5. 0 and 1 give -inf and +inf, a p outside [0, 1]
+    NaN, all without a warning.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    s = 2 * (p - 0.5)
+    return np.where((p >= 0.3) & (p <= 0.65), np.log1p(s) - np.log1p(-s), np.log(p / (1 - p)))
+
+
 def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """z's last-axis max (keepdims) and ``exp(z - max)``. The max takes one
-    np.maximum per column, as numpy reduces a short last axis row by row; a max
-    is exact in any order, NaN propagates either way, and a 0.0/-0.0 tie
-    changes no later value."""
-    z_max = z[..., :1]
-    for j in range(1, z.shape[-1]):  # one new array, then in place
-        z_max = np.maximum(z_max, z[..., j : j + 1], out=None if j == 1 else z_max)
+    """z's last-axis max (keepdims) and ``exp(z - max)``. Over many rows the
+    max takes one np.maximum per column, as numpy reduces a short last axis
+    row by row; a single row takes numpy's max, one call. A max is exact in
+    any order, NaN propagates either way, and a 0.0/-0.0 tie changes no later
+    value."""
+    if z.size == z.shape[-1] > 0:
+        z_max = z.max(axis=-1, keepdims=True)
+    else:
+        z_max = z[..., :1]
+        for j in range(1, z.shape[-1]):  # one new array, then in place
+            z_max = np.maximum(z_max, z[..., j : j + 1], out=None if j == 1 else z_max)
     return z_max, np.exp(z - z_max)
 
 
@@ -100,9 +132,10 @@ def last_axis_sum(a: np.ndarray) -> np.ndarray:
     Below width 8 numpy adds each row left to right, starting from +0.0, but
     it reduces a short last axis one row at a time. The same adds made one
     column at a time for all rows at once are several times faster. From
-    width 8 on, numpy sums pairwise, so those rows keep ``.sum``.
+    width 8 on, numpy sums pairwise, so those rows keep ``.sum``, and so
+    does a single row, for which ``.sum`` is one call.
     """
-    if not 0 < a.shape[-1] < 8:
+    if not 0 < a.shape[-1] < 8 or a.size == a.shape[-1]:
         return a.sum(axis=-1, keepdims=True, dtype=np.float64)
     s = a[..., :1] + 0.0  # a new float64 array; as in numpy, -0.0 becomes +0.0
     for j in range(1, a.shape[-1]):

@@ -1,12 +1,14 @@
 """Genetic operators against hand-enumerable cases, plus small end-to-end runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaflearn.ga as ga
-from gaflearn.errors import CodecError, ConfigError, InputShapeError
+from gaflearn.errors import CodecError, ConfigError, GafError, InputShapeError
 from gaflearn.ga import (
     EvaluatedIndividual,
     GaConfig,
@@ -786,3 +788,16 @@ def test_tell_with_a_result_count_other_than_asked_raises_naming_both():
     assert not search.memo and not search.log  # nothing was scored
     search.tell(results)
     assert len(search.memo) == n and len(search.log) == 1
+
+
+def test_a_finished_search_refuses_to_be_asked_or_told():
+    search = ga.Search(SMALL_SIZES, replace(small_search(0).config, generations=1))
+    x, y = small_data()
+    while not search.done:
+        step(search, x, y)
+    log, memo, population = list(search.log), dict(search.memo), list(search.population)
+    assert [s.generation for s in log] == [0, 1]
+    for call in (search.ask, lambda: search.tell([])):
+        with pytest.raises(GafError, match=r"the search is done after generation 1$"):
+            call()
+    assert search.log == log and search.memo == memo and search.population == population

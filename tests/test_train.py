@@ -264,7 +264,7 @@ def test_last_axis_sum_equals_numpy_sum_bit_for_bit(width):
     rng = np.random.default_rng(width)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0**-1074, 1e308])
     with np.errstate(over="ignore", invalid="ignore"):
-        for shape in [(60, width), (3, 20, width)]:
+        for shape in [(60, width), (3, 20, width), (1, width), (1, 1, width)]:
             magnitudes = 10.0 ** rng.integers(-300, 300, size=shape)
             for a in (
                 rng.choice(special, size=shape),
