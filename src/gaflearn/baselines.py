@@ -3,7 +3,7 @@
 Logistic regression is literally a 0-hidden-layer classifier graph trained
 by the same machinery, so the comparison isolates the value of hidden
 structure. Decision trees are greedy Gini trees over the same binarized
-indicators; their threshold search splits any numeric matrix.
+indicators.
 """
 
 from __future__ import annotations
@@ -88,10 +88,8 @@ def train_logistic(
 
 @dataclass
 class TreeNode:
-    n_samples: int
     label: int
-    feature: int | None = None
-    threshold: float = 0.0
+    feature: int | None = None  # rows where this indicator is 0 go left, 1 right
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
 
@@ -104,7 +102,6 @@ class TreeNode:
 class DecisionTree:
     root: TreeNode
     n_features: int
-    max_depth: int | None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -114,7 +111,7 @@ class DecisionTree:
         for i, row in enumerate(x):
             node = self.root
             while not node.is_leaf:
-                node = node.left if row[node.feature] < node.threshold else node.right
+                node = node.left if row[node.feature] < 0.5 else node.right
             out[i] = node.label
         return out
 
@@ -135,72 +132,63 @@ class DecisionTree:
         return walk(self.root)
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    p = counts / total
-    return float(1.0 - np.square(p).sum())
+def _best_split(x: np.ndarray, onehot: np.ndarray) -> int | None:
+    """The column of lowest weighted Gini, the lowest one on a tie; None if
+    every column is constant on these rows.
 
-
-def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
-    """Lowest weighted Gini split; ties go to the lowest feature then threshold."""
-    n = y.shape[0]
-    best = None  # (score, feature, threshold)
-    for f in range(x.shape[1]):
-        column = x[:, f]
-        values = np.unique(column)
-        if values.shape[0] < 2:
-            continue
-        for lo, hi in zip(values[:-1], values[1:]):
-            t = (lo + hi) / 2.0
-            mask = column < t
-            n_left = int(mask.sum())
-            if n_left < min_leaf or n - n_left < min_leaf:
-                continue
-            left_counts = np.bincount(y[mask], minlength=n_classes)
-            right_counts = np.bincount(y[~mask], minlength=n_classes)
-            score = (n_left * _gini(left_counts) + (n - n_left) * _gini(right_counts)) / n
-            if best is None or score < best[0]:
-                best = (score, f, t)
-    return best
+    ``x`` holds a node's rows of 0/1 indicators and ``onehot`` their classes.
+    A column's 1-rows go right, so ``x.T @ onehot`` counts every column's
+    right-side classes at once, and the left side holds the rest.
+    """
+    right = x.T @ onehot  # (columns, classes)
+    left = onehot.sum(axis=0) - right
+    n_right = right.sum(axis=1)
+    n_left = x.shape[0] - n_right
+    splits = (n_left > 0) & (n_right > 0)
+    if not splits.any():
+        return None
+    with np.errstate(invalid="ignore"):  # 0/0 on an empty side, masked below
+        gini_left = 1.0 - np.square(left / n_left[:, None]).sum(axis=1)
+        gini_right = 1.0 - np.square(right / n_right[:, None]).sum(axis=1)
+    score = (n_left * gini_left + n_right * gini_right) / x.shape[0]
+    return int(np.where(splits, score, np.inf).argmin())
 
 
 def train_tree(
     x_train: np.ndarray,
     y_train: np.ndarray,
     max_depth: int | None = None,
-    min_leaf: int = 1,
 ) -> DecisionTree:
-    """Greedy recursive Gini partitioning; fully deterministic."""
+    """Greedy recursive Gini partitioning of 0/1 indicators; fully deterministic."""
     x = np.asarray(x_train, dtype=np.float64)
     y = np.asarray(y_train, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise InputShapeError(f"bad training shapes {x.shape} / {y.shape}")
     if x.shape[0] == 0:
         raise ConfigError("training split is empty")
-    if min_leaf < 1:
-        raise ConfigError(f"min_leaf must be >= 1, got {min_leaf}")
+    if not ((x == 0) | (x == 1)).all():
+        raise InputShapeError("tree inputs must be 0/1 indicators")
     if max_depth is not None and max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     n_classes = int(y.max()) + 1
+    onehot = np.eye(n_classes)[y]
 
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         counts = np.bincount(y[rows], minlength=n_classes)
-        node = TreeNode(n_samples=rows.shape[0], label=int(counts.argmax()))
+        node = TreeNode(label=int(counts.argmax()))
         pure = counts.max() == rows.shape[0]
         if pure or (max_depth is not None and depth >= max_depth):
             return node
         # zero-gain splits are allowed (they can enable useful splits deeper
         # down, e.g. parity-style labels); children always strictly shrink
-        found = _best_split(x[rows], y[rows], n_classes, min_leaf)
-        if found is None:
+        feature = _best_split(x[rows], onehot[rows])
+        if feature is None:
             return node
-        _, feature, threshold = found
-        mask = x[rows, feature] < threshold
+        ones = x[rows, feature] == 1
         node.feature = feature
-        node.threshold = threshold
-        node.left = grow(rows[mask], depth + 1)
-        node.right = grow(rows[~mask], depth + 1)
+        node.left = grow(rows[~ones], depth + 1)
+        node.right = grow(rows[ones], depth + 1)
         return node
 
     root = grow(np.arange(x.shape[0]), 0)
-    return DecisionTree(root=root, n_features=x.shape[1], max_depth=max_depth)
+    return DecisionTree(root=root, n_features=x.shape[1])

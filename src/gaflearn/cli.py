@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -91,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--prune-below",
         type=float,
-        default=0.0,
-        help="hide edges with |weight| below this in DOT output",
+        default=None,
+        help="hide edges with |weight| below this in DOT output (default 0)",
     )
     p_exp.add_argument("--out", default=None, help="output file (default: stdout)")
     p_exp.set_defaults(func=_cmd_export)
@@ -137,14 +138,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_baseline(args) -> int:
     config = _load_config(args)
-    if args.out is None:
-        # keep baseline artifacts apart from the training run's directory;
-        # the loader checks that directory as it checks an --out
+    if args.out is None:  # keep baseline artifacts apart from the training run's
         suffix = f"-{args.kind}"
         if args.max_depth is not None:
             suffix += f"-depth{args.max_depth}"
-        args.out = config.out_dir.with_name(config.out_dir.name + suffix)
-        config = _load_config(args)
+        config = replace(config, out_dir=config.out_dir.with_name(config.out_dir.name + suffix))
     run_baseline_experiment(config, args.kind, max_depth=args.max_depth, echo=print)
     print(f"wrote {config.out_dir / 'summary.csv'}")
     return 0
@@ -174,13 +172,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_export(args) -> int:
+    if args.prune_below is not None:
+        if args.format != "dot":
+            raise ConfigError("--prune-below applies to DOT output only")
+        if not args.prune_below >= 0:  # NaN fails too
+            raise ConfigError(f"--prune-below must be >= 0, got {args.prune_below}")
     gaf, metadata = _read_model(args.model)
-    if not args.prune_below >= 0:  # NaN fails too
-        raise ConfigError(f"--prune-below must be >= 0, got {args.prune_below}")
     if args.format == "json":
         text = to_json(gaf, metadata if metadata else None)
     else:
-        text = to_dot(gaf, prune_below=args.prune_below)
+        text = to_dot(gaf, prune_below=args.prune_below or 0.0)
     _emit(text, args.out)
     if args.out is not None:
         print(f"wrote {args.out}")

@@ -148,8 +148,7 @@ def load_experiment_config(
     Relative paths inside the config resolve against the config file's
     directory; a relative ``out`` override and the default ``out/<stem>``
     resolve against the working directory, since they come from the command
-    line. An ``out`` that cannot become a directory is rejected here, before
-    any data is read.
+    line. The experiment checks ``out`` itself, before it reads any data.
     """
     path = Path(path)
     try:
@@ -185,9 +184,6 @@ def load_experiment_config(
         raise ConfigError(f"dataset file not found: {config.dataset_path}")
     if not config.schema_path.is_file():
         raise ConfigError(f"schema file not found: {config.schema_path}")
-    blocker = next(p for p in (config.out_dir, *config.out_dir.parents) if p.exists())
-    if not blocker.is_dir():
-        raise ConfigError(f"output directory {config.out_dir}: {blocker} is not a directory")
     return config
 
 
@@ -289,10 +285,14 @@ def _run_experiment(
 ) -> list[RunRecord]:
     """Load the dataset, fit and score every seeded run, write the summary files.
 
-    The output directory is made with the first artifact, so a dataset that
-    cannot be split leaves nothing behind. ``announce`` echoes the dataset's
-    shape first; ``resolved`` is merged into resolved_config.json.
+    An output directory that cannot be made is refused before any data is
+    read. It is made with the first artifact, so a dataset that cannot be
+    split leaves nothing behind. ``announce`` echoes the dataset's shape
+    first; ``resolved`` is merged into resolved_config.json.
     """
+    blocker = next(p for p in (config.out_dir, *config.out_dir.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"output directory {config.out_dir}: {blocker} is not a directory")
     say = echo if echo is not None else lambda _msg: None
     schema = load_schema(config.schema_path)
     raw = load_csv(config.dataset_path, schema)
@@ -430,6 +430,8 @@ def run_baseline_experiment(
     """
     if kind not in ("logistic", "tree"):
         raise ConfigError(f"baseline kind must be 'logistic' or 'tree', got {kind!r}")
+    if max_depth is not None and kind != "tree":
+        raise ConfigError(f"--max-depth applies to tree baselines only, not {kind!r}")
     if max_depth is not None and max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
 

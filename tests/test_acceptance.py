@@ -34,7 +34,8 @@ from gaflearn.util import derive_seed, softmax_rows
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DATA = ROOT / "data"
-# configs/iris.json's summary.csv and generations.csv files at master seed 0
+# configs/iris.json's summary.csv and generations.csv files at master seed 0,
+# and the summary.csv of its unlimited (tree/) and depth-3 (tree-depth3/) trees
 IRIS_REFERENCE = Path(__file__).resolve().parent / "reference" / "iris_seed0"
 
 
@@ -347,6 +348,16 @@ def test_iris_seed0_matches_the_reference_files(iris_experiment):
     names = ["summary.csv", *(f"run_{r:02d}/generations.csv" for r in range(10))]
     differ = [n for n in names if (base / n).read_bytes() != (IRIS_REFERENCE / n).read_bytes()]
     assert not differ, f"differ from {IRIS_REFERENCE}: {differ}"
+
+
+@pytest.mark.parametrize(
+    "name, max_depth", [("tree", None), ("tree-depth3", 3)], ids=["tree", "tree-depth3"]
+)
+def test_iris_seed0_tree_baselines_match_the_reference_files(tmp_path, name, max_depth):
+    config = load_experiment_config(CONFIGS / "iris.json", out=tmp_path / name)
+    run_baseline_experiment(config, "tree", max_depth=max_depth)
+    summary = (tmp_path / name / "summary.csv").read_bytes()
+    assert summary == (IRIS_REFERENCE / name / "summary.csv").read_bytes()
 
 
 # -- criterion 6: Mushroom reproduction (needs the fetched dataset) ---------

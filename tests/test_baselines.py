@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaflearn.baselines import (
     DecisionTree,
@@ -77,7 +79,6 @@ def test_label_equal_to_feature_gives_depth_one_split():
     tree = train_tree(x, y)
     assert tree.depth() == 1
     assert tree.root.feature == 2
-    assert tree.root.threshold == 0.5
     assert (tree.predict(x) == y).all()
 
 
@@ -105,19 +106,103 @@ def test_max_depth_zero_is_majority_vote():
     assert tree.predict(np.array([[0.0]])).tolist() == [1]
 
 
-def test_min_leaf_blocks_small_splits():
-    x = np.array([[0.0], [0.0], [0.0], [1.0]])
-    y = np.array([0, 0, 0, 1])
-    tree = train_tree(x, y, min_leaf=2)
-    assert tree.root.is_leaf  # the only useful split would leave a 1-row side
-
-
-def test_threshold_search_on_raw_numeric_column():
-    x = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.array([0, 0, 1, 1])
+def test_impure_node_with_only_constant_columns_stays_a_majority_leaf():
+    # column 0 splits the root; on its 1-side every column is constant,
+    # so that side keeps both classes and predicts its majority
+    x = np.array([[0, 1], [1, 0], [1, 0], [1, 0]], dtype=float)
+    y = np.array([0, 1, 1, 0])
     tree = train_tree(x, y)
-    assert tree.root.threshold == 2.5
-    assert (tree.predict(x) == y).all()
+    assert tree.root.feature == 0
+    assert tree.root.right.is_leaf and tree.root.right.label == 1
+    assert tree.depth() == 1
+
+
+def test_non_indicator_matrix_raises_input_shape_error():
+    for value in (2.0, 0.5, -1.0, np.nan):
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, value]])
+        with pytest.raises(InputShapeError, match="0/1"):
+            train_tree(x, np.array([0, 1, 1]))
+
+
+def reference_split(x, y, n_classes):
+    """The column-at-a-time Gini rule the vectorized split must equal: the
+    first column of strictly lowest weighted Gini, skipping constant ones."""
+
+    def gini(counts):
+        p = counts / counts.sum()
+        return float(1.0 - np.square(p).sum())
+
+    n = y.shape[0]
+    best = None  # (score, column)
+    for f in range(x.shape[1]):
+        ones = x[:, f] == 1
+        n_right = int(ones.sum())
+        if n_right in (0, n):
+            continue
+        left = np.bincount(y[~ones], minlength=n_classes)
+        right = np.bincount(y[ones], minlength=n_classes)
+        score = ((n - n_right) * gini(left) + n_right * gini(right)) / n
+        if best is None or score < best[0]:
+            best = (score, f)
+    return None if best is None else best[1]
+
+
+def reference_nodes(x, y, max_depth):
+    """(feature, label) of every node, depth first, left before right."""
+    n_classes = int(y.max()) + 1
+    out = []
+
+    def grow(rows, depth):
+        counts = np.bincount(y[rows], minlength=n_classes)
+        at = len(out)
+        out.append((None, int(counts.argmax())))
+        if counts.max() == rows.shape[0] or (max_depth is not None and depth >= max_depth):
+            return
+        f = reference_split(x[rows], y[rows], n_classes)
+        if f is None:
+            return
+        out[at] = (f, out[at][1])
+        ones = x[rows, f] == 1
+        grow(rows[~ones], depth + 1)
+        grow(rows[ones], depth + 1)
+
+    grow(np.arange(y.shape[0]), 0)
+    return out
+
+
+def tree_nodes(tree):
+    out = []
+
+    def walk(node):
+        out.append((node.feature, node.label))
+        if not node.is_leaf:
+            walk(node.left)
+            walk(node.right)
+
+    walk(tree.root)
+    return out
+
+
+@st.composite
+def indicator_problems(draw):
+    """0/1 matrices whose duplicated columns tie and constant columns cannot split."""
+    n = draw(st.integers(1, 40))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    columns = draw(st.lists(bits, min_size=1, max_size=5))
+    copies = st.sampled_from(columns) | st.sampled_from([[0] * n, [1] * n])
+    columns += draw(st.lists(copies, max_size=4))
+    order = draw(st.permutations(range(len(columns))))
+    x = np.array([columns[j] for j in order], dtype=np.float64).T
+    n_classes = draw(st.integers(2, 4))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    return x, y, draw(st.none() | st.integers(0, 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(indicator_problems())
+def test_tree_matches_the_column_at_a_time_reference(problem):
+    x, y, max_depth = problem
+    assert tree_nodes(train_tree(x, y, max_depth)) == reference_nodes(x, y, max_depth)
 
 
 def test_tree_training_is_deterministic():
@@ -134,8 +219,6 @@ def test_tree_training_is_deterministic():
 def test_tree_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         train_tree(np.zeros((0, 2)), np.zeros(0, np.int64))
-    with pytest.raises(ConfigError):
-        train_tree(np.zeros((3, 2)), np.array([0, 1, 0]), min_leaf=0)
     tree = train_tree(np.array([[0.0], [1.0]]), np.array([0, 1]))
     with pytest.raises(InputShapeError):
         tree.predict(np.zeros((2, 5)))

@@ -70,6 +70,41 @@ def test_baseline_default_out_that_cannot_be_a_directory_exits_2(tmp_path, capsy
     assert len(lines) == 1 and "toy-logistic" in lines[0], lines
 
 
+def test_baseline_default_out_ignores_the_training_run_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_toy_dataset(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "toy").write_text("not a directory\n")  # train's default out
+    cfg = write_toy_config(tmp_path, runs=1)
+    assert run_cli("baseline", "--kind", "tree", "--config", cfg) == 0
+    assert (tmp_path / "out" / "toy-tree" / "summary.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["baseline", "--kind", "logistic", "--max-depth", "3"], "--max-depth"),
+        (["export", "--format", "json", "--prune-below", "0.5"], "--prune-below"),
+    ],
+    ids=["max-depth-logistic", "prune-below-json"],
+)
+def test_flag_the_mode_ignores_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    if argv[0] == "baseline":
+        write_toy_dataset(tmp_path)
+        argv = [*argv, "--config", write_toy_config(tmp_path, runs=1)]
+    else:
+        argv = [*argv, "--model", trained_model_path(tmp_path)]
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+    assert captured.out == ""
+    assert set(tmp_path.rglob("*")) == before  # nothing written
+
+
 def test_bad_config_values_exit_2_with_one_line_naming_file_and_key(tmp_path, capsys):
     write_toy_dataset(tmp_path)
     base = json.loads(write_toy_config(tmp_path).read_text())
