@@ -107,12 +107,18 @@ class DecisionTree:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise InputShapeError(f"expected (n, {self.n_features}) inputs, got {x.shape}")
+        # route row indices node by node; a NaN is not < 0.5, so it goes right
         out = np.empty(x.shape[0], dtype=np.int64)
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] < 0.5 else node.right
-            out[i] = node.label
+        parts = [(self.root, np.arange(x.shape[0]))]
+        while parts:
+            node, rows = parts.pop()
+            if node.is_leaf:
+                out[rows] = node.label
+                continue
+            left = x[rows, node.feature] < 0.5
+            for child, part in ((node.left, rows[left]), (node.right, rows[~left])):
+                if part.size:
+                    parts.append((child, part))
         return out
 
     def depth(self) -> int:

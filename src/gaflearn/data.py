@@ -403,9 +403,10 @@ def split_stratified(
     """Per-class shuffled 70/10/20 partition, deterministic under the seed.
 
     Index lists come out sorted; shuffling only decides which rows land in
-    which part. Requires >= 10 instances, >= 2 classes, and >= 3 instances
-    in every class; the error names a small class by ``label_names[c]``
-    when given, else by its index.
+    which part. Requires >= 10 instances, >= 2 classes, >= 3 instances in
+    every class, and a class of >= 6, as a class of 5 or fewer gives the
+    validation part no row; the error names a small class by
+    ``label_names[c]`` when given, else by its index.
     """
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != n_instances:
@@ -433,6 +434,10 @@ def split_stratified(
         train.extend(perm[:n_train].tolist())
         val.extend(perm[n_train : n_train + n_val].tolist())
         test.extend(perm[n_train + n_val :].tolist())
+    if not val:
+        raise StratificationError(
+            "the validation split would be empty: every class has at most 5 instances"
+        )
     return SplitIndices(
         train=tuple(sorted(train)),
         validation=tuple(sorted(val)),

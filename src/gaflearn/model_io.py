@@ -10,6 +10,7 @@ without touching the model.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 from .errors import GafError, ModelFormatError
@@ -52,10 +53,19 @@ def _expect(doc: dict, key: str, kind, context: str):
     return value
 
 
+def _finite(token: str) -> float:
+    """A JSON float literal or NaN/Infinity token as a float; refused unless finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{token} is not a finite number")
+    return value
+
+
 def from_json(text: str) -> tuple[LayeredGaf, dict]:
-    """Parse a model document; returns the graph and its metadata."""
+    """Parse a model document; returns the graph and its metadata. A number
+    that is not finite is refused anywhere: to_json could not write it back."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, GafError, InputShapeError
 from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass, live_units
-from .util import check_field_types, log_sum_exp, log_sum_exp_and_softmax, softmax_rows
+from .util import check_field_types, log_sum_exp, softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -250,32 +250,26 @@ def _pick(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.take(z, starts + y)
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray, lse: np.ndarray) -> float | np.ndarray:
-    """Mean cross-entropy of output pre-activations: a float, or one per stacked net.
-
-    ``lse`` is ``log_sum_exp(z)``. ``y`` holds a class per row, shared by a
-    stack's nets or one row per net.
-    """
+def _labels(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y as an int array, checked to hold a class of z per row of z's batch,
+    shared by a stack's nets or one row per net."""
     y = np.asarray(y, dtype=np.int64)
     if y.shape not in (z.shape[-2:-1], z.shape[:-1]) or (y < 0).any() or (y >= z.shape[-1]).any():
         raise InputShapeError("labels must be class indices matching the batch")
-    return _unchecked_cross_entropy(z, y, lse)
+    return y
 
 
-def _unchecked_cross_entropy(
-    z: np.ndarray, y: np.ndarray, lse: np.ndarray
-) -> float | np.ndarray:
-    """:func:`_cross_entropy` without its label check, for an int array y
-    that the caller has checked against z."""
-    loss = np.mean(lse - _pick(z, y), axis=-1)
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Mean cross-entropy of output pre-activations: a float, or one per stacked
+    net. ``y`` is an int array of classes as :func:`_labels` checks them."""
+    loss = np.mean(log_sum_exp(z) - _pick(z, y), axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
 
 def forward_loss(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and per-instance class distributions."""
     _, z = net.forward(x)
-    lse, probs = log_sum_exp_and_softmax(z)
-    return _cross_entropy(z, y, lse), probs
+    return _cross_entropy(z, _labels(z, y)), softmax_rows(z)
 
 
 def gradients(
@@ -283,11 +277,11 @@ def gradients(
     x: np.ndarray,
     y: np.ndarray,
     out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Analytic gradients of the mean cross-entropy.
 
-    Returns (loss, per-block weight gradients, per-layer bias gradients).
-    Gradient entries at masked-out positions are exactly zero.
+    Returns (per-block weight gradients, per-layer bias gradients). Gradient
+    entries at masked-out positions are exactly zero.
 
     ``out``, as train_population passes it, holds zeroed (weight, bias)
     arrays to write into; a layer with no path to the loss leaves its
@@ -296,15 +290,15 @@ def gradients(
     and new arrays are returned.
     """
     activations, z = net.forward(x)
-    lse, dz = log_sum_exp_and_softmax(z)
-    loss = _cross_entropy(z, y, lse) if out is None else _unchecked_cross_entropy(z, y, lse)
+    if out is None:
+        y = _labels(z, y)
+        out = [np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]
+    dz = softmax_rows(z)
     dz -= np.asarray(y)[..., None] == np.arange(z.shape[-1])  # one-hot labels
     dz /= z.shape[-2]
 
     n_layers = len(net.structure.layer_sizes)
     d_strength: list[np.ndarray | None] = [None] * n_layers
-    if out is None:
-        out = [np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]
     grad_w, grad_b = out
     for t in range(n_layers - 1, 0, -1):
         if t < n_layers - 1:
@@ -324,7 +318,7 @@ def gradients(
             if src > 0:  # nothing reads the gradient of the inputs
                 back = dz @ np.swapaxes(w, -1, -2)
                 d_strength[src] = back if d_strength[src] is None else d_strength[src] + back
-    return loss, grad_w, grad_b
+    return grad_w, grad_b
 
 
 def adam_step(
@@ -350,7 +344,6 @@ def adam_step(
 
 @dataclass
 class TrainingHistory:
-    train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
 
@@ -394,12 +387,11 @@ def train_population(
     """Train each structure with Adam under its own seed, all as one stack.
 
     Individual i draws its initial weights and each epoch's minibatch order
-    from ``default_rng(seeds[i])``. Per-epoch train loss is the mean of the
-    batch losses, each taken before its update. After every epoch the
-    validation loss gates early stopping: the best parameters seen are kept
-    (strictly smaller loss wins, earliest epoch on ties), and an individual
-    leaves the stack once es_patience consecutive epochs fail to beat its
-    best by more than es_tolerance.
+    from ``default_rng(seeds[i])``. A step computes gradients and nothing
+    else. After every epoch the validation loss gates early stopping: the
+    best parameters seen are kept (strictly smaller loss wins, earliest
+    epoch on ties), and an individual leaves the stack once es_patience
+    consecutive epochs fail to beat its best by more than es_tolerance.
 
     The stack holds only each net's live support: its live units per layer,
     padded to the stack's widest with zero-weight, zero-mask slots. Each
@@ -417,8 +409,9 @@ def train_population(
     are checked once, here; the steps do not check them again.
     Each result is bit-identical to training its full structure alone with
     the full-shape kernels wherever BLAS adds each product's terms in index
-    order (see the module docstring). A train or validation loss that is
-    not finite raises :class:`GafError` naming i.
+    order (see the module docstring). A validation loss that is not finite
+    raises :class:`GafError` naming i; it reads the parameters the next
+    step would, so a parameter that turns non-finite is caught in its epoch.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
@@ -473,33 +466,27 @@ def train_population(
     for epoch in range(1, config.max_epochs + 1):
         if batch_size < n:
             order = np.stack([rngs[i].permutation(n) for i in active])
-        batch_losses = np.empty((len(active), len(starts)))
         for b, start in enumerate(starts):
             if batch_size < n:
                 idx = order[:, start : start + batch_size]
                 x = x_live[idx] if full else x_train[idx[:, :, None], cols[:, None, :]]
-                loss, _, _ = gradients(stack, x, y_train[idx], out=grad_views)
+                gradients(stack, x, y_train[idx], out=grad_views)
             else:
-                loss, _, _ = gradients(stack, x_live, y_train, out=grad_views)
-            batch_losses[:, b] = loss
+                gradients(stack, x_live, y_train, out=grad_views)
             step = (epoch - 1) * len(starts) + b + 1
             adam_step(params, grads, m, v, step, config.learning_rate)
-        train_loss = batch_losses.mean(axis=1)
         _, z = stack.forward(x_val)  # one pass gives validation loss and accuracy
-        val_loss = _unchecked_cross_entropy(z, y_val, log_sum_exp(z))
+        val_loss = _cross_entropy(z, y_val)
         val_accuracy = np.mean(np.argmax(z, axis=-1) == y_val, axis=-1)
 
-        finite = np.isfinite(train_loss) & np.isfinite(val_loss)
+        finite = np.isfinite(val_loss)
         if not finite.all():
             k = int(np.argmin(finite))
             raise GafError(
                 f"individual {active[k]} (seed {seeds[active[k]]}) diverged at epoch {epoch}: "
-                f"train loss {train_loss[k]}, validation loss {val_loss[k]}"
+                f"validation loss {val_loss[k]}"
             )
-        for i, tl, vl, va in zip(
-            active.tolist(), train_loss.tolist(), val_loss.tolist(), val_accuracy.tolist()
-        ):
-            histories[i].train_loss.append(tl)
+        for i, vl, va in zip(active.tolist(), val_loss.tolist(), val_accuracy.tolist()):
             histories[i].val_loss.append(vl)
             histories[i].val_accuracy.append(va)
 

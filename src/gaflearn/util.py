@@ -143,12 +143,6 @@ def last_axis_sum(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _normalized(e: np.ndarray) -> np.ndarray:
-    """The softmax from ``e = exp(z - max)``: e over its last-axis sums, in place."""
-    e /= last_axis_sum(e)
-    return e
-
-
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis that tolerates +/-inf entries.
 
@@ -160,20 +154,18 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
         pos = np.isposinf(z)
         z = np.where(pos.any(axis=-1, keepdims=True), np.where(pos, 0.0, -np.inf), z)
         z = np.where(np.isneginf(z).all(axis=-1, keepdims=True), 0.0, z)
-    return _normalized(_shifted_exp(z)[1])
+    e = _shifted_exp(z)[1]
+    e /= last_axis_sum(e)
+    return e
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def log_sum_exp(z: np.ndarray) -> np.ndarray:
     """log(sum(exp(z))) over the last axis, bit for bit as scipy 1.17's logsumexp:
     log1p(sum of exp(z - max) over the non-max terms / m) + log(m) + max,
     for m tied maxima, and the direct form wherever that is not finite.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _log_sum_exp(z, *_shifted_exp(z))
-
-
-def _log_sum_exp(z: np.ndarray, z_max: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """:func:`log_sum_exp` from z's last-axis max and ``e = exp(z - z_max)``."""
+    z_max, e = _shifted_exp(z)
     is_max = z == z_max
     m = last_axis_sum(is_max)
     # e's non-max terms are scipy's exp(where(is_max, -inf, z) - max) bit for
@@ -185,11 +177,3 @@ def _log_sum_exp(z: np.ndarray, z_max: np.ndarray, e: np.ndarray) -> np.ndarray:
     if not finite.all():
         out = np.where(finite, out, np.log(np.exp(z).sum(axis=-1)))
     return out
-
-
-def log_sum_exp_and_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`log_sum_exp` and :func:`softmax_rows` of z, from one max and one exp."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z_max, e = _shifted_exp(z)
-        lse = _log_sum_exp(z, z_max, e)
-    return lse, softmax_rows(z) if np.isinf(z).any() else _normalized(e)

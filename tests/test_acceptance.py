@@ -68,7 +68,7 @@ def test_criterion_1_gradient_check():
         x = rng.uniform(0.0, 1.0, size=(batch, sizes[0]))
         y = rng.integers(0, sizes[-1], size=batch)
 
-        _, grad_w, grad_b = gradients(net, x, y)
+        grad_w, grad_b = gradients(net, x, y)
 
         def fd_pair(array, index):
             orig = array[index]
@@ -358,6 +358,15 @@ def test_iris_seed0_tree_baselines_match_the_reference_files(tmp_path, name, max
     run_baseline_experiment(config, "tree", max_depth=max_depth)
     summary = (tmp_path / name / "summary.csv").read_bytes()
     assert summary == (IRIS_REFERENCE / name / "summary.csv").read_bytes()
+
+
+def test_iris_seed0_logistic_baseline_matches_the_reference_file(tmp_path):
+    # the one caller whose fully connected stack reads x_train as given,
+    # without a per-net gather of its live input columns
+    config = load_experiment_config(CONFIGS / "iris.json", out=tmp_path / "logistic")
+    run_baseline_experiment(config, "logistic")
+    summary = (tmp_path / "logistic" / "summary.csv").read_bytes()
+    assert summary == (IRIS_REFERENCE / "logistic" / "summary.csv").read_bytes()
 
 
 # -- criterion 6: Mushroom reproduction (needs the fetched dataset) ---------

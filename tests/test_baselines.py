@@ -205,6 +205,29 @@ def test_tree_matches_the_column_at_a_time_reference(problem):
     assert tree_nodes(train_tree(x, y, max_depth)) == reference_nodes(x, y, max_depth)
 
 
+def reference_predict(tree, x):
+    """The former DecisionTree.predict: each row walks the tree on its own."""
+    out = np.empty(x.shape[0], dtype=np.int64)
+    for i, row in enumerate(x):
+        node = tree.root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] < 0.5 else node.right
+        out[i] = node.label
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(indicator_problems(), st.data())
+def test_tree_predicts_as_the_row_at_a_time_reference(problem, data):
+    x, y, max_depth = problem
+    tree = train_tree(x, y, max_depth)
+    # the training rows, and rows of any values: a NaN and 0.5 itself go right
+    values = st.sampled_from([0.0, 1.0, 0.49, 0.5, -3.0, np.nan, np.inf])
+    rows = data.draw(st.lists(st.lists(values, min_size=x.shape[1], max_size=x.shape[1])))
+    for grid in (x, np.array(rows, dtype=np.float64).reshape(-1, x.shape[1])):
+        assert np.array_equal(tree.predict(grid), reference_predict(tree, grid))
+
+
 def test_tree_training_is_deterministic():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 2, size=(80, 7)).astype(float)

@@ -347,6 +347,28 @@ def write_with_number(path, doc, number):
     path.write_text(json.dumps(doc).replace('"NUMBER"', number))
 
 
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["export", "--format", "json"],
+        ["export", "--format", "dot"],
+        ["run-semantics", "--instance", "1"],
+    ],
+    ids=["export-json", "export-dot", "run-semantics"],
+)
+def test_non_finite_model_number_exits_2_with_one_line_naming_the_file(
+    tmp_path, capsys, command, number
+):
+    path = tmp_path / "model.json"
+    doc = json.loads(model_doc_with_unknown_edge_target().replace("a9_9", "a1_0"))
+    doc["metadata"] = {"run": "NUMBER"}
+    write_with_number(path, doc, number)
+    assert run_cli(*command[:1], "--model", path, *command[1:]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path}: {number} is not a finite number"], lines
+
+
 @pytest.mark.parametrize(
     "which, number, detail",
     [
@@ -404,6 +426,24 @@ def test_dataset_that_cannot_be_stratified_exits_2_naming_the_file(tmp_path, cap
     # the class is named by its label, not by its index
     assert lines == [f"error: {dataset}: classes ['pos'] have fewer than 3 instances"], lines
     # the output directory is made with the first artifact, so none is left behind
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["train", "logistic", "tree"])
+def test_dataset_with_no_validation_row_exits_2_naming_the_file(tmp_path, capsys, kind):
+    write_toy_dataset(tmp_path)
+    dataset = tmp_path / "toy.csv"
+    # two classes of 5: round(0.1 * 5) is 0, so no class gives a validation row
+    rows = [f"{i % 2},{i // 2 % 2},{'pos' if i < 5 else 'neg'}" for i in range(10)]
+    dataset.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+    command = ["train"] if kind == "train" else ["baseline", "--kind", kind]
+    cfg = write_toy_config(tmp_path, runs=1)
+    assert run_cli(*command, "--config", cfg, "--out", tmp_path / "out") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        f"error: {dataset}: the validation split would be empty: "
+        "every class has at most 5 instances"
+    ], lines
     assert not (tmp_path / "out").exists()
 
 

@@ -441,6 +441,10 @@ def test_split_partitions_every_class_by_rounded_shares(class_sizes, seed, shuff
     labels = [c for c, n_c in enumerate(class_sizes) for _ in range(n_c)]
     shuffler.shuffle(labels)
     labels = np.array(labels)
+    if max(class_sizes) <= 5:  # round(0.1 * n_c) is 0 for every class
+        with pytest.raises(StratificationError, match="validation split would be empty"):
+            split_stratified(len(labels), labels, seed=seed)
+        return
     split = split_stratified(len(labels), labels, seed=seed)
     parts = (split.train, split.validation, split.test)
     for part in parts:
@@ -481,3 +485,6 @@ def test_split_rejects_degenerate_inputs():
         split_stratified(12, [0] * 10 + [1] * 2, seed=0)
     with pytest.raises(StratificationError, match=r"classes \['b'\] have fewer than 3"):
         split_stratified(12, [0] * 10 + [1] * 2, seed=0, label_names=("a", "b"))
+    with pytest.raises(StratificationError, match="validation split would be empty"):
+        split_stratified(10, [0] * 5 + [1] * 5, seed=0)
+    assert len(split_stratified(11, [0] * 5 + [1] * 6, seed=0).validation) == 1

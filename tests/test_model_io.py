@@ -163,8 +163,14 @@ def test_non_finite_numbers_are_rejected():
     doc["edges"][0]["weight"] = float("inf")
     text = json.dumps(doc)  # writes the non-standard token Infinity
     assert '"weight": Infinity' in text
-    with pytest.raises(ModelFormatError, match="invalid graph"):
+    with pytest.raises(ModelFormatError, match="Infinity is not a finite number"):
         from_json(text)
+    # in the metadata too, which to_json could not write back
+    for token in ("NaN", "-Infinity", "1e999"):
+        text = to_json(sample_gaf(), metadata={"fitness": 0.5})
+        text = text.replace('"fitness": 0.5', f'"fitness": {token}')
+        with pytest.raises(ModelFormatError, match=f"{token} is not a finite number"):
+            from_json(text)
     with pytest.raises(ValueError):
         to_json(sample_gaf(), metadata={"fitness": float("nan")})
 

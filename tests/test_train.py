@@ -22,7 +22,7 @@ from gaflearn.train import (
     train,
     train_population,
 )
-from gaflearn.util import last_axis_sum, log_sum_exp, log_sum_exp_and_softmax, softmax_rows
+from gaflearn.util import last_axis_sum, log_sum_exp, softmax_rows
 
 
 def zero_net(layer_sizes):
@@ -63,12 +63,24 @@ def test_output_bias_gradients_sum_to_zero():
     net = zero_net([2, 4])
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     y = np.array([0, 1, 2, 3])  # balanced
-    _, _, grad_b = gradients(net, x, y)
+    _, grad_b = gradients(net, x, y)
     # balanced labels and uniform outputs: gradient vanishes per class
     assert np.allclose(grad_b[-1], 0.0, rtol=0, atol=1e-12)
     # and the softmax rows always sum to zero across classes
-    _, _, grad_b2 = gradients(net, x, np.array([0, 0, 1, 2]))
+    _, grad_b2 = gradients(net, x, np.array([0, 0, 1, 2]))
     assert abs(grad_b2[-1].sum()) < 1e-12
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-net", "stack"])
+def test_forward_loss_and_gradients_refuse_bad_labels(stacked):
+    net = zero_net([2, 3])
+    if stacked:
+        net = MaskedNet.stack([net, zero_net([2, 3])])
+    x = np.ones((4, 2))
+    for y in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 1, 2], [[0, 1, 2, 0]] * 3):
+        for kernel in (forward_loss, gradients):
+            with pytest.raises(InputShapeError, match="class indices"):
+                kernel(net, x, np.array(y))
 
 
 def random_net(rng, allow_skip=True):
@@ -93,7 +105,7 @@ def random_net(rng, allow_skip=True):
 
 def finite_difference_check(net, x, y, h=1e-5):
     """Max guarded relative error between analytic and central-difference grads."""
-    _, grad_w, grad_b = gradients(net, x, y)
+    grad_w, grad_b = gradients(net, x, y)
     worst = 0.0
     for bi, (_, _, mask) in enumerate(net.structure.blocks):
         for i in range(mask.shape[0]):
@@ -157,15 +169,17 @@ def test_stacked_gradients_match_each_slice_and_finite_differences():
         sizes = stack.structure.layer_sizes
         x = rng.uniform(size=(3, int(rng.integers(1, 8)), sizes[0]))
         y = rng.integers(0, sizes[-1], size=x.shape[:2])
-        loss, grad_w, grad_b = gradients(stack, x, y)
+        grad_w, grad_b = gradients(stack, x, y)
+        loss, _ = forward_loss(stack, x, y)
         # a shared input batch broadcasts over the stack
-        shared_loss, shared_w, shared_b = gradients(stack, x[0], y[0])
+        shared_w, shared_b = gradients(stack, x[0], y[0])
+        shared_loss, _ = forward_loss(stack, x[0], y[0])
         for k, net in enumerate(nets):
-            alone_loss, alone_w, alone_b = gradients(net, x[k], y[k])
-            assert loss[k] == alone_loss
+            alone_w, alone_b = gradients(net, x[k], y[k])
+            assert loss[k] == forward_loss(net, x[k], y[k])[0]
             assert all(np.array_equal(g[k], a) for g, a in zip(grad_w + grad_b, alone_w + alone_b))
-            first_loss, first_w, first_b = gradients(net, x[0], y[0])
-            assert shared_loss[k] == first_loss
+            first_w, first_b = gradients(net, x[0], y[0])
+            assert shared_loss[k] == forward_loss(net, x[0], y[0])[0]
             assert all(np.array_equal(g[k], a) for g, a in zip(shared_w + shared_b, first_w + first_b))
 
         # criterion 1's check, on every slice of the stacked net
@@ -249,14 +263,11 @@ def reference_softmax(z):
     return out
 
 
-def test_shared_loss_and_softmax_equal_the_separate_formulas():
+def test_log_sum_exp_and_softmax_rows_equal_the_reference_formulas():
     with np.errstate(invalid="ignore", over="ignore"):
         for z in [*class_axis_cases(12, 2000), *class_axis_cases(13, 1000, stacked=True)]:
-            lse, probs = log_sum_exp_and_softmax(z)
-            assert same_floats(lse, logsumexp(z, axis=-1)), z
-            expected = reference_softmax(z)
-            assert same_floats(probs, expected), z
-            assert same_floats(softmax_rows(z), expected), z
+            assert same_floats(log_sum_exp(z), logsumexp(z, axis=-1)), z
+            assert same_floats(softmax_rows(z), reference_softmax(z)), z
 
 
 @pytest.mark.parametrize("width", range(1, 13))
@@ -382,15 +393,12 @@ def reference_train(structure, x, y, xv, yv, config, seed):
     best_loss, best, best_epoch, stall, step = np.inf, None, 0, 0, 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n) if batch < n else np.arange(n)
-        losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            loss, grad_w, grad_b = gradients(net, x[idx], y[idx])
-            losses.append(loss)
+            grad_w, grad_b = gradients(net, x[idx], y[idx])
             step += 1
             adam_step_each(params, grad_w + grad_b, moments, step, config.learning_rate)
         val_loss, _ = forward_loss(net, xv, yv)
-        history.train_loss.append(float(np.mean(losses)))
         history.val_loss.append(val_loss)
         history.val_accuracy.append(float(np.mean(net.predict(xv) == yv)))
         stall = 0 if epoch == 1 or val_loss < best_loss - config.es_tolerance else stall + 1
@@ -599,12 +607,10 @@ def test_best_epoch_parameters_are_restored():
     structure = GafStructure.fully_connected([4, 3, 2])
     config = TrainConfig(learning_rate=0.2, max_epochs=60, es_patience=5, es_tolerance=1e-4)
     result = train(structure, x, y, xv, yv, config)
-    assert result.epochs_run == len(result.history.val_loss)
-    assert result.epochs_run == len(result.history.train_loss)
+    assert result.epochs_run == len(result.history.val_loss) == len(result.history.val_accuracy)
     restored_loss, _ = forward_loss(result.net, xv, yv)
     assert abs(restored_loss - min(result.history.val_loss)) < 1e-12
     assert result.best_epoch == 1 + int(np.argmin(result.history.val_loss))
-    assert all(math.isfinite(v) and v >= 0 for v in result.history.train_loss)
     assert all(math.isfinite(v) and v >= 0 for v in result.history.val_loss)
 
 
@@ -619,7 +625,7 @@ def test_training_is_deterministic_under_seed():
     assert a.history.val_loss == b.history.val_loss
     assert all(np.array_equal(wa, wb) for wa, wb in zip(a.net.weights, b.net.weights))
     c = train(structure, x, y, xv, yv, config, 100)
-    assert a.history.train_loss[0] != c.history.train_loss[0]
+    assert a.history.val_loss != c.history.val_loss
 
 
 def test_masked_positions_stay_zero_through_training():
@@ -631,7 +637,7 @@ def test_masked_positions_stay_zero_through_training():
     result = train(structure, x, y, x, y, config)
     assert (result.net.weights[0][~mask01] == 0.0).all()
     assert (result.net.weights[1][~mask12] == 0.0).all()
-    _, grad_w, _ = gradients(result.net, x, y)
+    grad_w, _ = gradients(result.net, x, y)
     assert (grad_w[0][~mask01] == 0.0).all()
 
 
