@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, InputShapeError
 from .graph import GafStructure, LayeredGaf
 from .train import TrainConfig, TrainResult, to_classifier, train
+from .util import class_indices
 
 
 @dataclass(frozen=True)
@@ -29,15 +30,12 @@ class Metrics:
 def evaluate_metrics(predictions, true_labels, n_classes: int | None = None) -> Metrics:
     """Confusion matrix plus accuracy and macro precision/recall.
 
-    A class never predicted (or never present) contributes 0 to its macro
-    average, with a warning.
+    Both are vectors of class indices, below n_classes when it is given
+    (see :func:`util.class_indices`). A class never predicted (or never
+    present) contributes 0 to its macro average, with a warning.
     """
-    y_pred = np.asarray(predictions, dtype=np.int64)
-    y_true = np.asarray(true_labels, dtype=np.int64)
-    if y_pred.shape != y_true.shape or y_pred.ndim != 1:
-        raise InputShapeError(
-            f"predictions {y_pred.shape} and labels {y_true.shape} must be equal-length vectors"
-        )
+    y_true = class_indices(true_labels, None, n_classes)
+    y_pred = class_indices(predictions, len(y_true), n_classes, "predictions")
     if y_pred.shape[0] == 0:
         raise InputShapeError("cannot compute metrics on an empty prediction list")
     if n_classes is None:
@@ -165,11 +163,14 @@ def train_tree(
     y_train: np.ndarray,
     max_depth: int | None = None,
 ) -> DecisionTree:
-    """Greedy recursive Gini partitioning of 0/1 indicators; fully deterministic."""
+    """Greedy recursive Gini partitioning of 0/1 indicators; fully deterministic.
+
+    y_train holds a class index per row (see :func:`util.class_indices`).
+    """
     x = np.asarray(x_train, dtype=np.float64)
-    y = np.asarray(y_train, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise InputShapeError(f"bad training shapes {x.shape} / {y.shape}")
+    if x.ndim != 2:
+        raise InputShapeError(f"expected an (n, features) matrix, got shape {x.shape}")
+    y = class_indices(y_train, x.shape[0])
     if x.shape[0] == 0:
         raise ConfigError("training split is empty")
     if not ((x == 0) | (x == 1)).all():

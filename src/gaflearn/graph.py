@@ -86,6 +86,8 @@ class GafStructure:
             seen.add((src, dst))
             if mask.shape != (self.layer_sizes[src], self.layer_sizes[dst]):
                 raise InvalidGraphError(f"block ({src},{dst}) mask shape {mask.shape} mismatch")
+            if mask.dtype != bool:
+                raise InvalidGraphError(f"block ({src},{dst}) mask dtype {mask.dtype} is not bool")
 
     @staticmethod
     def fully_connected(layer_sizes: Sequence[int]) -> "GafStructure":
@@ -117,6 +119,10 @@ class LayeredGaf:
     so acyclicity holds by construction and evaluation is a single forward
     sweep. When ``class_labels`` is non-empty the graph is a classifier and
     must have one output argument per label (at least two).
+
+    One pass over the arguments and edges checks them and builds the
+    graph's arrays (see :meth:`_decomposition`): an edge sets its bit in
+    its block's mask, so a bit already set is a duplicate edge.
     """
 
     def __init__(
@@ -128,18 +134,14 @@ class LayeredGaf:
         self._layers = tuple(tuple(layer) for layer in layers)
         self._edges = tuple(edges)
         self._class_labels = tuple(class_labels)
-        self._validate()
-        self._decomposed: tuple[GafStructure, list[np.ndarray], list[np.ndarray]] | None = None
-
-    def _validate(self) -> None:
         if len(self._layers) < 2:
             raise InvalidGraphError("a layered graph needs at least 2 layers")
-        ids: dict[str, int] = {}
+        index: dict[str, tuple[int, int]] = {}  # id -> (layer, position)
         names = set()
         for li, layer in enumerate(self._layers):
             if not layer:
                 raise InvalidGraphError(f"layer {li} is empty")
-            for arg in layer:
+            for ai, arg in enumerate(layer):
                 if arg.layer_index != li:
                     raise InvalidGraphError(
                         f"argument {arg.id!r} declares layer {arg.layer_index}, placed in {li}"
@@ -149,28 +151,33 @@ class LayeredGaf:
                 if arg.name in names:
                     raise InvalidGraphError(f"duplicate argument name {arg.name!r}")
                 names.add(arg.name)
-                if arg.id in ids:
+                if arg.id in index:
                     raise InvalidGraphError(f"duplicate argument id {arg.id!r}")
-                ids[arg.id] = li
+                index[arg.id] = (li, ai)
                 if math.isnan(arg.base_score) or not 0.0 <= arg.base_score <= 1.0:
                     raise InvalidGraphError(
                         f"base score of {arg.id!r} must lie in [0,1], got {arg.base_score}"
                     )
-        pairs = set()
+        sizes = self.layer_sizes
+        weights: dict[tuple[int, int], np.ndarray] = {}
+        masks: dict[tuple[int, int], np.ndarray] = {}
         for e in self._edges:
-            if e.source not in ids or e.target not in ids:
+            if e.source not in index or e.target not in index:
                 raise InvalidGraphError(f"edge ({e.source},{e.target}) references unknown argument")
-            if ids[e.source] >= ids[e.target]:
+            (sl, si), (tl, ti) = index[e.source], index[e.target]
+            if sl >= tl:
                 raise InvalidGraphError(
                     f"edge ({e.source},{e.target}) must point to a deeper layer"
                 )
-            if (e.source, e.target) in pairs:
+            mask = masks.setdefault((sl, tl), np.zeros((sizes[sl], sizes[tl]), dtype=bool))
+            if mask[si, ti]:
                 raise InvalidGraphError(f"duplicate edge ({e.source},{e.target})")
-            pairs.add((e.source, e.target))
             if not math.isfinite(e.weight):
                 raise InvalidGraphError(
                     f"edge ({e.source},{e.target}) has non-finite weight {e.weight}"
                 )
+            mask[si, ti] = True
+            weights.setdefault((sl, tl), np.zeros(mask.shape))[si, ti] = e.weight
         if self._class_labels:
             if len(self._class_labels) != len(self._layers[-1]):
                 raise InvalidGraphError(
@@ -181,6 +188,15 @@ class LayeredGaf:
                 raise InvalidGraphError("a classifier needs at least 2 classes")
             if len(set(self._class_labels)) != len(self._class_labels):
                 raise InvalidGraphError("class labels must be unique")
+        pairs = sorted(masks)
+        self._decomposed = (
+            GafStructure(sizes, tuple((*pair, masks[pair]) for pair in pairs)),
+            [weights[pair] for pair in pairs],
+            [
+                logit(np.array([a.base_score for a in layer], dtype=np.float64))
+                for layer in self._layers[1:]
+            ],
+        )
 
     @property
     def layers(self) -> tuple[tuple[Argument, ...], ...]:
@@ -216,35 +232,11 @@ class LayeredGaf:
         return len(self._edges)
 
     def _decomposition(self) -> tuple[GafStructure, list[np.ndarray], list[np.ndarray]]:
-        """(structure, per-block weights, per-layer biases), cached: callers must not mutate it.
+        """(structure, per-block weights, per-layer biases): callers must not mutate them.
 
         Blocks are in sorted (source, target) layer order. Biases are the
         log-odds of the non-input base scores (+/-inf at exactly 0 or 1).
         """
-        if self._decomposed is not None:
-            return self._decomposed
-        index = {
-            arg.id: (li, ai)
-            for li, layer in enumerate(self._layers)
-            for ai, arg in enumerate(layer)
-        }
-        sizes = self.layer_sizes
-        weights: dict[tuple[int, int], np.ndarray] = {}
-        present: dict[tuple[int, int], np.ndarray] = {}
-        for e in self._edges:
-            sl, si = index[e.source]
-            tl, ti = index[e.target]
-            block = weights.setdefault((sl, tl), np.zeros((sizes[sl], sizes[tl])))
-            mask = present.setdefault((sl, tl), np.zeros((sizes[sl], sizes[tl]), dtype=bool))
-            block[si, ti] = e.weight
-            mask[si, ti] = True
-        pairs = sorted(weights)
-        structure = GafStructure(sizes, tuple((src, dst, present[(src, dst)]) for src, dst in pairs))
-        biases = [
-            logit(np.array([a.base_score for a in layer], dtype=np.float64))
-            for layer in self._layers[1:]
-        ]
-        self._decomposed = (structure, [weights[pair] for pair in pairs], biases)
         return self._decomposed
 
 

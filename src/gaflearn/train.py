@@ -4,10 +4,12 @@ A layered graph with given connections is a sparse MLP: logistic hidden
 units, softmax over the output layer's pre-activations, mean cross-entropy
 loss. Base scores are trained through their log-odds (an unconstrained
 bias), weights only where the structure has an edge. Optimization is Adam
-with early stopping on validation loss. Every kernel also runs on a stack
-of nets with a leading population axis, equal slice by slice to one net.
+with early stopping on validation loss. A training reports that loss per
+epoch, and its train and validation accuracies once, under the parameters
+it keeps. Every kernel also runs on a stack of nets with a leading
+population axis, equal slice by slice to one net.
 
-Training and its train-accuracy score work on each net's live support only:
+Training and its accuracy scores work on each net's live support only:
 the units with a path to an output (:func:`graph.live_units`). A dead
 unit's strength reaches no output, so every term it would add to a product
 or a gradient is an exact zero. The live units of each layer are gathered
@@ -34,14 +36,14 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GafError, InputShapeError
 from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass, live_units
-from .util import check_field_types, log_sum_exp, softmax_rows
+from .util import check_field_types, class_indices, log_sum_exp, softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -113,7 +115,7 @@ class MaskedNet:
 
     @classmethod
     def from_gaf(cls, gaf: LayeredGaf) -> "MaskedNet":
-        # __init__ copies the weights and biases; copy the graph's cached masks here
+        # __init__ copies the weights and biases; copy the graph's own masks here
         structure, weights, biases = gaf._decomposition()
         blocks = tuple((src, dst, m.copy()) for src, dst, m in structure.blocks)
         return cls(GafStructure(structure.layer_sizes, blocks), weights, biases)
@@ -222,22 +224,22 @@ def _bind(
     return views[:n_weights], views[n_weights:]
 
 
-def _check_data(layer_sizes: Sequence[int], *pairs: tuple[np.ndarray, np.ndarray]) -> None:
-    """Raise InputShapeError unless each (x, y) pair is an (n, inputs) matrix
-    and a vector of n class indices, both as ``layer_sizes`` has them.
+def _check_split(layer_sizes: Sequence[int], x: np.ndarray, y) -> np.ndarray:
+    """y as x's class indices (see :func:`util.class_indices`); raise
+    InputShapeError unless x is an (n, inputs) matrix of strengths in
+    [0, 1] and y a vector of n classes, both as ``layer_sizes`` has them.
+    x must have rows: the caller refuses an empty split first.
 
     Compact kernels read only the live input columns, and the training loop
     indexes rows and labels without checking them, so a mismatch must be
     caught here, before it could pass unseen or end in a bare IndexError.
     """
-    n_in, n_classes = layer_sizes[0], layer_sizes[-1]
-    for x, y in pairs:
-        if x.ndim != 2 or x.shape[1] != n_in:
-            raise InputShapeError(f"expected (n, {n_in}) inputs, got shape {x.shape}")
-        if y.shape != x.shape[:1]:
-            raise InputShapeError(f"expected {x.shape[0]} labels, got shape {y.shape}")
-        if y.size and (y.min() < 0 or y.max() >= n_classes):
-            raise InputShapeError(f"labels must be class indices in [0, {n_classes})")
+    if x.ndim != 2 or x.shape[1] != layer_sizes[0]:
+        raise InputShapeError(f"expected (n, {layer_sizes[0]}) inputs, got shape {x.shape}")
+    # two reductions and no full-size temporary; NaN fails both comparisons
+    if not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise InputShapeError("input strengths must be finite values in [0,1]")
+    return class_indices(y, x.shape[0], layer_sizes[-1])
 
 
 def _pick(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,11 +254,11 @@ def _pick(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _labels(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y as an int array, checked to hold a class of z per row of z's batch,
-    shared by a stack's nets or one row per net."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape not in (z.shape[-2:-1], z.shape[:-1]) or (y < 0).any() or (y >= z.shape[-1]).any():
+    shared by a stack's nets or one row per net (see util.class_indices)."""
+    y = np.asarray(y)
+    if y.shape not in (z.shape[-2:-1], z.shape[:-1]):
         raise InputShapeError("labels must be class indices matching the batch")
-    return y
+    return class_indices(y.reshape(-1), None, z.shape[-1]).reshape(y.shape)
 
 
 def _cross_entropy(z: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -343,22 +345,18 @@ def adam_step(
 
 
 @dataclass
-class TrainingHistory:
-    val_loss: list[float] = field(default_factory=list)
-    val_accuracy: list[float] = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
     net: MaskedNet
-    history: TrainingHistory
+    val_loss: list[float]  # one per epoch run
     best_epoch: int
     seed: int
-    train_accuracy: float  # of the best parameters, on the training rows
+    # of the best parameters, on the training and on the validation rows
+    train_accuracy: float
+    val_accuracy: float
 
     @property
     def epochs_run(self) -> int:
-        return len(self.history.val_loss)
+        return len(self.val_loss)
 
 
 def train(
@@ -401,12 +399,14 @@ def train_population(
     individual leaves, its best compact parameters are scattered back into
     its initialized full-shape net. A dead edge would get an exactly-zero
     gradient, so it keeps its initial draw, and a dead hidden bias stays 0.
-    Its train accuracy, the share of training rows whose argmax class is
-    the label, is scored then too, with its best compact parameters on its
-    live input columns, one net at a time.
+    Its train and validation accuracies, the shares of training and of
+    validation rows whose argmax class is the label, are scored then too,
+    with its best compact parameters on its live input columns, one net at
+    a time; an epoch's validation pass computes the loss alone.
     Parameters, gradients, Adam's moments and the best parameters are one
     (P, n_params) slab each (see the module docstring). Inputs and labels
-    are checked once, here; the steps do not check them again.
+    are checked once, here: inputs must be strengths in [0, 1] and labels
+    class indices of the output layer. The steps do not check them again.
     Each result is bit-identical to training its full structure alone with
     the full-shape kernels wherever BLAS adds each product's terms in index
     order (see the module docstring). A validation loss that is not finite
@@ -415,8 +415,6 @@ def train_population(
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.int64)
-    y_val = np.asarray(y_val, dtype=np.int64)
     if x_train.shape[0] == 0:
         raise ConfigError("training split is empty")
     if x_val.shape[0] == 0:
@@ -426,11 +424,12 @@ def train_population(
     if not structures:
         return []
 
-    _check_data(structures[0].layer_sizes, (x_train, y_train), (x_val, y_val))
+    y_train = _check_split(structures[0].layer_sizes, x_train, y_train)
+    y_val = _check_split(structures[0].layer_sizes, x_val, y_val)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     nets = [MaskedNet.initialize(st, rng) for st, rng in zip(structures, rngs)]
-    histories = [TrainingHistory() for _ in nets]
+    val_losses: list[list[float]] = [[] for _ in nets]
     results: dict[int, TrainResult] = {}
     units = _live_support(nets)
     stack = _compact(MaskedNet.stack(nets), units)
@@ -475,10 +474,7 @@ def train_population(
                 gradients(stack, x_live, y_train, out=grad_views)
             step = (epoch - 1) * len(starts) + b + 1
             adam_step(params, grads, m, v, step, config.learning_rate)
-        _, z = stack.forward(x_val)  # one pass gives validation loss and accuracy
-        val_loss = _cross_entropy(z, y_val)
-        val_accuracy = np.mean(np.argmax(z, axis=-1) == y_val, axis=-1)
-
+        val_loss = _cross_entropy(stack.forward(x_val)[1], y_val)
         finite = np.isfinite(val_loss)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -486,9 +482,8 @@ def train_population(
                 f"individual {active[k]} (seed {seeds[active[k]]}) diverged at epoch {epoch}: "
                 f"validation loss {val_loss[k]}"
             )
-        for i, vl, va in zip(active.tolist(), val_loss.tolist(), val_accuracy.tolist()):
-            histories[i].val_loss.append(vl)
-            histories[i].val_accuracy.append(va)
+        for i, vl in zip(active.tolist(), val_loss.tolist()):
+            val_losses[i].append(vl)
 
         if epoch > 1:
             stall = np.where(val_loss < best_loss - config.es_tolerance, 0, stall + 1)
@@ -501,16 +496,20 @@ def train_population(
         for k in np.flatnonzero(stopped).tolist():
             i = int(active[k])
             compact = _views(best[k], shapes)
+            weights, biases = compact[:n_weights], compact[n_weights:]
             # one net's inputs at a time: never a (P, n, k) gather of all rows
             if full:
-                x = x_live
+                x, xv = x_live, x_val
             else:
                 x = x_live[k] if batch_size == n else np.take(x_train, cols[k], axis=1)
-            _, z = forward_pass(stack.structure, compact[:n_weights], compact[n_weights:], x)
+                xv = x_val[k]
+            _, z = forward_pass(stack.structure, weights, biases, x)
+            _, z_val = forward_pass(stack.structure, weights, biases, xv)
             _scatter(nets[i], compact, [u[k] for u in units])
             results[i] = TrainResult(
-                nets[i], histories[i], int(best_epoch[k]), seeds[i],
+                nets[i], val_losses[i], int(best_epoch[k]), seeds[i],
                 float(np.mean(np.argmax(z, axis=-1) == y_train)),
+                float(np.mean(np.argmax(z_val, axis=-1) == y_val)),
             )
         if stopped.all():
             break

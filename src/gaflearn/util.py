@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputShapeError
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -61,6 +61,29 @@ def check_field_types(config) -> None:
             continue
         if not ok:
             raise ConfigError(f"{f.metadata.get('key', f.name)} must be {want}, got {value!r}")
+
+
+def class_indices(
+    y, n_rows: int | None = None, n_classes: int | None = None, what: str = "labels"
+) -> np.ndarray:
+    """y as an int64 vector of class indices, or InputShapeError.
+
+    y must be 1-D, with n_rows entries when that is given, of an integer or
+    bool dtype (an empty y may have any dtype), and every index must be at
+    least 0 and, when n_classes is given, below it. ``what`` names y in the
+    messages.
+    """
+    y = np.asarray(y)
+    if y.ndim != 1 or n_rows not in (None, y.shape[0]):
+        want = "a vector of" if n_rows is None else n_rows
+        raise InputShapeError(f"expected {want} {what}, got shape {y.shape}")
+    if y.size and y.dtype.kind not in "biu":
+        raise InputShapeError(f"{what} must be integer class indices, got dtype {y.dtype}")
+    y = y.astype(np.int64, copy=False)  # a uint64 past int64's range turns negative
+    if y.size and (y.min() < 0 or n_classes is not None and y.max() >= n_classes):
+        bound = "" if n_classes is None else f" below {n_classes}"
+        raise InputShapeError(f"{what} must be class indices from 0{bound}")
+    return y
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -5,6 +5,7 @@ stated tolerances and time budgets. Run with `pytest tests/test_acceptance.py
 -v -s -rs` to see every line; skipped criteria state their reason.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -28,6 +29,7 @@ from gaflearn.ga import (
     evolve,
 )
 from gaflearn.graph import Argument, LayeredGaf, WeightedEdge, evaluate
+from gaflearn.model_io import from_json, to_json
 from gaflearn.train import MaskedNet, TrainConfig, forward_loss, gradients
 from gaflearn.util import derive_seed, softmax_rows
 
@@ -35,8 +37,15 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DATA = ROOT / "data"
 # configs/iris.json's summary.csv and generations.csv files at master seed 0,
-# and the summary.csv of its unlimited (tree/) and depth-3 (tree-depth3/) trees
+# run 0's model.json without its metadata, and the summary.csv of its
+# unlimited (tree/) and depth-3 (tree-depth3/) trees
 IRIS_REFERENCE = Path(__file__).resolve().parent / "reference" / "iris_seed0"
+# numpy's SIMD exp and log differ between builds and CPUs by a few ULP, which
+# moved trained model.json values by at most 4.7e-12 relative when the
+# runtime changed from scipy's to numpy's; off the recorded numpy build the
+# pin allows a little over 20 times that, relative to the value or to 1,
+# whichever is larger
+PIN_RTOL = 1e-10
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -342,12 +351,44 @@ def test_criterion_8_determinism(iris_experiment):
 
 def test_iris_seed0_matches_the_reference_files(iris_experiment):
     # a change that alters the models replaces these files and says why;
-    # model.json is left out, as its full-precision floats can move with
-    # the numpy build
+    # model.json is pinned apart, as its full-precision floats can move
+    # with the numpy build
     base = iris_experiment[3] / "gaf"
     names = ["summary.csv", *(f"run_{r:02d}/generations.csv" for r in range(10))]
     differ = [n for n in names if (base / n).read_bytes() != (IRIS_REFERENCE / n).read_bytes()]
     assert not differ, f"differ from {IRIS_REFERENCE}: {differ}"
+
+
+def _floats_apart(text: str) -> tuple[dict, np.ndarray]:
+    """A model document with each float read as 0.0, and the floats in order."""
+    floats: list[float] = []
+
+    def read(token: str) -> float:
+        floats.append(float(token))
+        return 0.0
+
+    return json.loads(text, parse_float=read), np.array(floats)
+
+
+def test_iris_seed0_run0_parameters_match_the_pin(iris_experiment):
+    # exact on the numpy build and CPU features the pin was made with, and
+    # within PIN_RTOL elsewhere; either way the test runs and says which
+    gaf, _ = from_json((iris_experiment[3] / "gaf" / "run_00" / "model.json").read_text())
+    got = to_json(gaf)
+    pinned = (IRIS_REFERENCE / "run_00" / "model.json").read_text()
+    record = json.loads((IRIS_REFERENCE / "run_00" / "numpy.json").read_text())
+    exact = (
+        np.__version__ == record["numpy"]
+        and np.show_config(mode="dicts")["SIMD Extensions"] == record["simd_extensions"]
+    )
+    if exact:
+        print(f"run 0 parameters: exact comparison (numpy {np.__version__}, recorded SIMD)")
+        assert got == pinned
+        return
+    print(f"run 0 parameters: relative tolerance {PIN_RTOL} (numpy {np.__version__})")
+    (got_doc, a), (pinned_doc, b) = _floats_apart(got), _floats_apart(pinned)
+    assert got_doc == pinned_doc and a.shape == b.shape
+    assert np.all(np.abs(a - b) <= PIN_RTOL * np.maximum(np.abs(b), 1.0))
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,22 @@ def test_metrics_reject_bad_inputs():
         evaluate_metrics([], [])
 
 
+@pytest.mark.parametrize(
+    "predictions, labels, n_classes, message",
+    [
+        ([0, -1, 1], [0, 0, 1], None, "predictions must be class indices from 0$"),
+        ([0.7, 0, 1], [0, 0, 1], None, "predictions must be integer class indices"),
+        ([0, 2, 1], [0, 0, 1], 2, "predictions must be class indices from 0 below 2"),
+        ([0, 1, 1], [0, 2, 1], 2, "labels must be class indices from 0 below 2"),
+        ([0, 1], [[0], [1]], None, r"expected a vector of labels, got shape \(2, 1\)"),
+    ],
+    ids=["negative", "fraction", "prediction-too-large", "label-too-large", "column"],
+)
+def test_metrics_refuse_values_that_are_not_class_indices(predictions, labels, n_classes, message):
+    with pytest.raises(InputShapeError, match=message):
+        evaluate_metrics(predictions, labels, n_classes)
+
+
 # -- decision trees ------------------------------------------------------
 
 
@@ -239,6 +255,22 @@ def test_tree_training_is_deterministic():
     assert a.depth() == b.depth()
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, -1, 1], "labels must be class indices from 0$"),
+        ([[0], [1], [1]], r"expected 3 labels, got shape \(3, 1\)"),
+        ([0, 0.5, 1], "labels must be integer class indices, got dtype float64"),
+        ([0, 1], r"expected 3 labels, got shape \(2,\)"),
+    ],
+    ids=["negative", "column", "fraction", "short"],
+)
+def test_tree_refuses_labels_that_are_not_class_indices(labels, message):
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(InputShapeError, match=message):
+        train_tree(x, np.array(labels))
+
+
 def test_tree_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         train_tree(np.zeros((0, 2)), np.zeros(0, np.int64))
@@ -257,7 +289,8 @@ def test_logistic_baseline_solves_separable_toy():
     gaf, result = train_logistic(x, y, x, y, config, 0, ["f0", "f1"], ["n", "p"])
     assert len(gaf.layers) == 2  # no hidden layer
     assert gaf.connection_count() == 2 * 2
-    assert result.epochs_run == len(result.history.val_loss) == 200
+    assert result.epochs_run == len(result.val_loss) == 200
+    assert result.train_accuracy == result.val_accuracy == 1.0
     predictions = np.argmax(output_distributions(gaf, x), axis=1)
     assert (predictions == y).all()
 

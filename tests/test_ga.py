@@ -421,7 +421,8 @@ def test_evolve_is_deterministic_and_batch_composition_invariant(monkeypatch):
     for p, q in zip(best_c.result.net.weights + best_c.result.net.biases,
                     best_a.result.net.weights + best_a.result.net.biases):
         assert np.array_equal(p, q)
-    assert best_c.result.history == best_a.result.history
+    assert best_c.result.val_loss == best_a.result.val_loss
+    assert best_c.result.val_accuracy == best_a.result.val_accuracy
 
 
 def test_ga_patience_stops_early():
@@ -569,8 +570,8 @@ def record_trainings(monkeypatch):
 def assert_same_training(a, b):
     for p, q in zip(a.net.weights + a.net.biases, b.net.weights + b.net.biases):
         assert np.array_equal(p, q)
-    assert a.history == b.history
-    assert a.train_accuracy == b.train_accuracy
+    assert a.val_loss == b.val_loss
+    assert (a.train_accuracy, a.val_accuracy) == (b.train_accuracy, b.val_accuracy)
 
 
 def test_memo_hit_in_a_later_generation_equals_training_the_row_alone(monkeypatch):
@@ -594,13 +595,14 @@ def test_memo_hit_in_a_later_generation_equals_training_the_row_alone(monkeypatc
     assert calls[0][1][0] == seed
     assert_same_training(hit.result, train(decode(live, SMALL_SIZES), x, y, x, y,
                                            toy_train_config(), seed))
-    # the row with its dead edges trains to the same live weights and history
+    # the row with its dead edges trains to the same live weights and scores
     raw = train(decode(row, SMALL_SIZES), x, y, x, y, toy_train_config(), seed)
     for w, w_live, mask in zip(raw.net.weights, hit.result.net.weights, hit.result.net.masks):
         assert np.array_equal(w * mask, w_live)
     for b, b_live in zip(raw.net.biases, hit.result.net.biases):
         assert np.array_equal(b, b_live)
-    assert raw.history == hit.result.history
+    assert raw.val_loss == hit.result.val_loss
+    assert raw.val_accuracy == hit.result.val_accuracy
 
 
 def test_runs_with_different_seeds_train_a_shared_row_under_different_seeds(monkeypatch):

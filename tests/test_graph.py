@@ -1,6 +1,7 @@
 """Semantics of layered graphs, checked against hand-rolled scalar math."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +288,52 @@ def test_rejects_malformed_graphs():
         LayeredGaf([[a], [b]], [], class_labels=["only", "two", "many"])  # label count
     with pytest.raises(InvalidGraphError):
         LayeredGaf([[a], [b]], [], class_labels=["one"])  # fewer than 2 classes
+
+
+A = Argument("a", "a", 0, 0.5)
+B = Argument("b", "b", 1, 0.5)
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "layers, edges, labels, message",
+    [
+        ([[A]], [], (), "a layered graph needs at least 2 layers"),
+        ([[A], []], [], (), "layer 1 is empty"),
+        ([[A], [Argument("b", "b", 0, 0.5)]], [], (), "argument 'b' declares layer 0, placed in 1"),
+        ([[A], [Argument("b", "", 1, 0.5)]], [], (), "argument 'b' has an empty name"),
+        # a name is checked before the id, and both before the base score
+        ([[A], [Argument("a", "a", 1, 1.5)]], [], (), "duplicate argument name 'a'"),
+        ([[A], [Argument("a", "b", 1, 1.5)]], [], (), "duplicate argument id 'a'"),
+        ([[A], [Argument("b", "b", 1, NAN)]], [], (),
+         "base score of 'b' must lie in [0,1], got nan"),
+        # every argument is checked before any edge, and every edge before the labels
+        ([[A], [B, Argument("a", "c", 1, 0.5)]], [WeightedEdge("a", "zz", 1.0)], (),
+         "duplicate argument id 'a'"),
+        ([[A], [B]], [WeightedEdge("a", "zz", NAN)], ("x",),
+         "edge (a,zz) references unknown argument"),
+        ([[A], [B]], [WeightedEdge("b", "a", NAN)], (), "edge (b,a) must point to a deeper layer"),
+        ([[A], [B]], [WeightedEdge("a", "b", 1.0), WeightedEdge("a", "b", NAN)], (),
+         "duplicate edge (a,b)"),
+        ([[A], [B]], [WeightedEdge("a", "b", NAN), WeightedEdge("a", "b", 1.0)], (),
+         "edge (a,b) has non-finite weight nan"),
+        ([[A], [B]], [WeightedEdge("a", "b", 1.0)], ("x", "y"),
+         "2 class labels for 1 output arguments"),
+        ([[A], [B]], [], ("x",), "a classifier needs at least 2 classes"),
+        ([[A], [B, Argument("c", "c", 1, 0.5)]], [], ("x", "x"), "class labels must be unique"),
+    ],
+)
+def test_malformed_graph_is_refused_at_its_first_fault(layers, edges, labels, message):
+    with pytest.raises(InvalidGraphError, match=f"^{re.escape(message)}$"):
+        LayeredGaf(layers, edges, labels)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8])
+def test_structure_refuses_non_boolean_masks(dtype):
+    blocks = ((0, 1, np.ones((2, 3), dtype=bool)), (1, 2, np.ones((3, 2), dtype=dtype)))
+    message = rf"block \(1,2\) mask dtype {np.dtype(dtype)} is not bool"
+    with pytest.raises(InvalidGraphError, match=message):
+        GafStructure((2, 3, 2), blocks)
 
 
 def test_rejects_bad_inputs():

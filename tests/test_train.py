@@ -11,7 +11,6 @@ from gaflearn.graph import GafStructure, live_units, output_distributions
 from gaflearn.train import (
     MaskedNet,
     TrainConfig,
-    TrainingHistory,
     _pick,
     _slab,
     _views,
@@ -77,7 +76,7 @@ def test_forward_loss_and_gradients_refuse_bad_labels(stacked):
     if stacked:
         net = MaskedNet.stack([net, zero_net([2, 3])])
     x = np.ones((4, 2))
-    for y in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 1, 2], [[0, 1, 2, 0]] * 3):
+    for y in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 0.5, 1, 2], [0, 1, 2], [[0, 1, 2, 0]] * 3):
         for kernel in (forward_loss, gradients):
             with pytest.raises(InputShapeError, match="class indices"):
                 kernel(net, x, np.array(y))
@@ -389,7 +388,7 @@ def reference_train(structure, x, y, xv, yv, config, seed):
     moments = adam_zeros(params)
     n = x.shape[0]
     batch = config.batch_size if 0 < config.batch_size < n else n
-    history = TrainingHistory()
+    val_losses, val_accuracies = [], []
     best_loss, best, best_epoch, stall, step = np.inf, None, 0, 0, 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n) if batch < n else np.arange(n)
@@ -399,8 +398,8 @@ def reference_train(structure, x, y, xv, yv, config, seed):
             step += 1
             adam_step_each(params, grad_w + grad_b, moments, step, config.learning_rate)
         val_loss, _ = forward_loss(net, xv, yv)
-        history.val_loss.append(val_loss)
-        history.val_accuracy.append(float(np.mean(net.predict(xv) == yv)))
+        val_losses.append(val_loss)
+        val_accuracies.append(float(np.mean(net.predict(xv) == yv)))
         stall = 0 if epoch == 1 or val_loss < best_loss - config.es_tolerance else stall + 1
         if epoch == 1 or val_loss < best_loss:
             best_loss, best_epoch = val_loss, epoch
@@ -408,24 +407,29 @@ def reference_train(structure, x, y, xv, yv, config, seed):
         if stall >= config.es_patience:
             break
     net.weights, net.biases = best
-    return net, history, best_epoch
+    return net, val_losses, val_accuracies, best_epoch
 
 
 def assert_stack_trains_each_structure_alone(structures, x, y, xv, yv, config, seeds):
     """train_population equals train and the dense reference_train, bit for bit,
-    scores each net's train accuracy as the reference net's predictions do,
+    scores each net's train accuracy as the reference net's predictions do
+    and its validation accuracy as the reference loop did at its best epoch,
     and leaves every dead edge at its initial draw and every dead hidden bias at 0."""
     together = train_population(structures, x, y, xv, yv, config, seeds)
     varied = 0
     for structure, seed, result in zip(structures, seeds, together):
         alone = train(structure, x, y, xv, yv, config, seed)
-        net, history, best_epoch = reference_train(structure, x, y, xv, yv, config, seed)
+        net, val_losses, val_accuracies, best_epoch = reference_train(
+            structure, x, y, xv, yv, config, seed
+        )
         for other in (alone.net, net):
             for p, q in zip(result.net.weights + result.net.biases, other.weights + other.biases):
                 assert np.array_equal(p, q)
-        assert result.history == alone.history == history
-        assert result.epochs_run == alone.epochs_run == len(history.val_loss)
+        assert result.val_loss == alone.val_loss == val_losses
+        assert result.epochs_run == alone.epochs_run == len(val_losses)
         assert result.best_epoch == alone.best_epoch == best_epoch
+        best_accuracy = val_accuracies[best_epoch - 1]
+        assert result.val_accuracy == alone.val_accuracy == best_accuracy
         assert result.seed == alone.seed == seed
         predicted = net.predict(x)
         assert result.train_accuracy == alone.train_accuracy == float(np.mean(predicted == y))
@@ -607,11 +611,12 @@ def test_best_epoch_parameters_are_restored():
     structure = GafStructure.fully_connected([4, 3, 2])
     config = TrainConfig(learning_rate=0.2, max_epochs=60, es_patience=5, es_tolerance=1e-4)
     result = train(structure, x, y, xv, yv, config)
-    assert result.epochs_run == len(result.history.val_loss) == len(result.history.val_accuracy)
+    assert result.epochs_run == len(result.val_loss)
     restored_loss, _ = forward_loss(result.net, xv, yv)
-    assert abs(restored_loss - min(result.history.val_loss)) < 1e-12
-    assert result.best_epoch == 1 + int(np.argmin(result.history.val_loss))
-    assert all(math.isfinite(v) and v >= 0 for v in result.history.val_loss)
+    assert abs(restored_loss - min(result.val_loss)) < 1e-12
+    assert result.best_epoch == 1 + int(np.argmin(result.val_loss))
+    assert all(math.isfinite(v) and v >= 0 for v in result.val_loss)
+    assert result.val_accuracy == float(np.mean(result.net.predict(xv) == yv))
 
 
 def test_training_is_deterministic_under_seed():
@@ -622,10 +627,10 @@ def test_training_is_deterministic_under_seed():
                          batch_size=16)
     a = train(structure, x, y, xv, yv, config, 99)
     b = train(structure, x, y, xv, yv, config, 99)
-    assert a.history.val_loss == b.history.val_loss
+    assert a.val_loss == b.val_loss
     assert all(np.array_equal(wa, wb) for wa, wb in zip(a.net.weights, b.net.weights))
     c = train(structure, x, y, xv, yv, config, 100)
-    assert a.history.val_loss != c.history.val_loss
+    assert a.val_loss != c.val_loss
 
 
 def test_masked_positions_stay_zero_through_training():
@@ -651,7 +656,8 @@ def one_live_column_structure():
 @pytest.mark.parametrize(
     "case",
     ["wide x_train", "short y_train", "short minibatch y_train", "narrow x_val",
-     "short y_val", "label too large", "negative label", "1-D x_train"],
+     "short y_val", "label too large", "negative label", "fractional labels",
+     "column of labels", "1-D x_train"],
 )
 def test_train_rejects_mismatched_inputs_and_labels(case):
     x, y = noisy_task(n=20)
@@ -672,11 +678,27 @@ def test_train_rejects_mismatched_inputs_and_labels(case):
         data["y"] = np.where(np.arange(20) == 5, 2, y)
     elif case == "negative label":
         data["yv"] = np.where(np.arange(8) == 3, -1, y[:8])
+    elif case == "fractional labels":  # they used to be truncated to classes
+        data["y"] = y + 0.5
+    elif case == "column of labels":
+        data["yv"] = y[:8, None]
     else:
         data["x"] = x[:, 0]
     config = TrainConfig(learning_rate=0.1, max_epochs=3, batch_size=batch_size)
     with pytest.raises(InputShapeError):
         train(one_live_column_structure(), data["x"], data["y"], data["xv"], data["yv"], config)
+
+
+@pytest.mark.parametrize("split", ["x_train", "x_val"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 5.0, -1.0])
+def test_training_refuses_input_strengths_outside_0_1(split, value):
+    x, y = noisy_task(n=20)
+    data = {"x_train": x.copy(), "x_val": x[:8].copy()}
+    data[split][3, 1] = value
+    config = TrainConfig(learning_rate=0.1, max_epochs=3)
+    structure = GafStructure.fully_connected([4, 2])
+    with pytest.raises(InputShapeError, match=r"input strengths must be finite values in \[0,1\]"):
+        train(structure, data["x_train"], y, data["x_val"], y[:8], config)
 
 
 def test_empty_splits_are_rejected():
