@@ -126,11 +126,18 @@ def load_schema(path: str | Path) -> DatasetSchema:
 
 @dataclass(frozen=True)
 class RawDataset:
-    """Cleaned tabular data: parsed feature rows plus string labels."""
+    """Cleaned tabular data: one array per feature column plus string labels.
+
+    ``columns[j]`` holds feature j for every kept row: float64 values for a
+    numeric column, 0/1 uint8 values for a binary one, and for a
+    categorical one intp codes into ``levels[j]``, that column's levels in
+    sorted order. ``levels[j]`` is empty for the other kinds.
+    """
 
     feature_names: tuple[str, ...]
     specs: tuple[ColumnSpec, ...]
-    rows: tuple[tuple, ...]
+    columns: tuple[np.ndarray, ...]
+    levels: tuple[tuple[str, ...], ...]
     labels: tuple[str, ...]
     label_name: str
     label_values: tuple[str, ...]
@@ -138,7 +145,7 @@ class RawDataset:
 
     @property
     def n_instances(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
 
     def label_indices(self) -> np.ndarray:
         """Each row's label as its index in ``label_values``."""
@@ -183,7 +190,10 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
         specs = tuple(schema.column(name) for name in feature_names)
         positions = [header.index(name) for name in feature_names]
 
-        rows: list[tuple] = []
+        # each kept row's values go straight into per-column lists; a
+        # categorical column's values are coded by first sight in `seen`
+        values: list[list] = [[] for _ in specs]
+        seen: list[dict[str, int]] = [{} for _ in specs]
         labels: list[str] = []
         n_dropped = 0
         for line_no, record in enumerate(reader, start=2):
@@ -197,8 +207,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
             if schema.missing is not None and schema.missing in fields:
                 n_dropped += 1
                 continue
-            parsed = []
-            for spec, pos in zip(specs, positions):
+            for spec, pos, column, codes in zip(specs, positions, values, seen):
                 value = fields[pos]
                 if spec.kind == "numeric":
                     try:
@@ -213,25 +222,24 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
                             f"{path}: line {line_no}: column {spec.name!r}: "
                             f"{value!r} is not a finite number"
                         )
-                    parsed.append(number)
+                    column.append(number)
                 elif spec.kind == "binary":
                     if value not in ("0", "1"):
                         raise ParseError(
                             f"{path}: line {line_no}: column {spec.name!r}: "
                             f"binary value must be 0 or 1, got {value!r}"
                         )
-                    parsed.append(int(value))
+                    column.append(value == "1")
                 else:
-                    parsed.append(value)
+                    column.append(codes.setdefault(value, len(codes)))
             label = fields[label_pos]
             if schema.label_values is not None and label not in schema.label_values:
                 raise SchemaError(
                     f"{path}: line {line_no}: label {label!r} not in declared label values"
                 )
-            rows.append(tuple(parsed))
             labels.append(label)
 
-    if not rows:
+    if not labels:
         raise ParseError(f"{path}: no data rows after cleaning")
     if schema.label_values is not None:
         label_values = schema.label_values
@@ -239,10 +247,24 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
         label_values = tuple(sorted(set(labels)))
     if len(set(labels)) < 2:
         raise SchemaError(f"{path}: label column has fewer than 2 distinct values")
+    columns, levels = [], []
+    for spec, column, codes in zip(specs, values, seen):
+        if spec.kind == "numeric":
+            columns.append(np.array(column, dtype=np.float64))
+            levels.append(())
+        elif spec.kind == "binary":
+            columns.append(np.array(column, dtype=np.uint8))
+            levels.append(())
+        else:  # recode from order of first sight to sorted order
+            levels.append(tuple(sorted(codes)))
+            rank = {level: i for i, level in enumerate(levels[-1])}
+            sorted_code = np.array([rank[level] for level in codes], dtype=np.intp)
+            columns.append(sorted_code[np.array(column, dtype=np.intp)])
     return RawDataset(
         feature_names=feature_names,
         specs=specs,
-        rows=tuple(rows),
+        columns=tuple(columns),
+        levels=tuple(levels),
         labels=tuple(labels),
         label_name=schema.label,
         label_values=label_values,
@@ -331,6 +353,11 @@ def binarize(
     otherwise.
     Categories are always discovered on the full data so the one-hot
     invariant holds on every row.
+
+    A numeric column is coded with one ``searchsorted`` against its
+    thresholds, a categorical column by the level codes it holds. The ones
+    of each source column are then set with one index assignment into a
+    preallocated C-ordered float64 (n_instances, n_indicators) matrix.
     """
     if bins_per_numeric < 2:
         raise ValueError("bins_per_numeric must be >= 2")
@@ -340,18 +367,19 @@ def binarize(
         raise InputShapeError("fit_indices must be a non-empty subset of row indices")
 
     indicators: list[Indicator] = []
-    blocks: list[np.ndarray] = []  # (indicators, rows) per source column
-    for ci, spec in enumerate(raw.specs):
-        values = [row[ci] for row in raw.rows]
+    # per source column: its first indicator's position and each row's
+    # indicator among its own (None for a binary column, its own indicator)
+    ones: list[tuple[int, np.ndarray | None]] = []
+    for spec, column, levels in zip(raw.specs, raw.columns, raw.levels):
+        first = len(indicators)
         if spec.kind == "numeric":
-            arr = np.asarray(values, dtype=np.float64)
             if spec.thresholds is not None:
                 thresholds = np.asarray(spec.thresholds, dtype=np.float64)
             else:
                 k = spec.bins if spec.bins is not None else bins_per_numeric
                 qs = [i / k for i in range(1, k)]
-                thresholds = np.unique(np.quantile(arr[fit], qs))
-                if thresholds.size == 0 or arr[fit].min() == arr[fit].max():
+                thresholds = np.unique(np.quantile(column[fit], qs))
+                if thresholds.size == 0 or column[fit].min() == column[fit].max():
                     thresholds = np.empty(0)
             if thresholds.size == 0:
                 warnings.warn(
@@ -360,26 +388,29 @@ def binarize(
                 )
             indicators.extend(_bin_indicators(spec.name, thresholds))
             # the interval index: how many thresholds lie at or below each value
-            codes = np.searchsorted(thresholds, arr, side="right")
-            blocks.append(codes == np.arange(thresholds.size + 1)[:, None])
+            ones.append((first, np.searchsorted(thresholds, column, side="right")))
         elif spec.kind == "categorical":
-            levels = sorted(set(values))
             if len(levels) == 1:
                 warnings.warn(f"categorical column {spec.name!r} has a single level")
             indicators.extend(
                 Indicator(f"{spec.name}={level}", spec.name, "category", category=level)
                 for level in levels
             )
-            code = {level: i for i, level in enumerate(levels)}
-            codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-            blocks.append(codes == np.arange(len(levels))[:, None])
+            ones.append((first, column))
         else:  # binary
             indicators.append(Indicator(name=spec.name, source_column=spec.name, kind="binary"))
-            blocks.append(np.asarray(values, dtype=np.float64)[None])
+            ones.append((first, None))
 
+    matrix = np.zeros((n, len(indicators)))
+    rows = np.arange(n)
+    for column, (first, codes) in zip(raw.columns, ones):
+        if codes is None:
+            matrix[:, first] = column
+        else:
+            matrix[rows, first + codes] = 1.0
     return BinarizedDataset(
         indicators=tuple(indicators),
-        matrix=np.vstack(blocks).T.astype(np.float64, order="C"),
+        matrix=matrix,
         labels=raw.label_indices(),
         label_names=raw.label_values,
     )

@@ -322,9 +322,29 @@ def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretatio
     return Interpretation(strengths=strengths, output_distribution=distribution)
 
 
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
+def check_strengths(x: np.ndarray) -> np.ndarray:
+    """x as a float64 array; InputShapeError, with evaluate's message,
+    unless every entry is a finite value in [0, 1].
+
+    Read as unsigned integers, the values from +0 to 1 are exactly the bit
+    patterns up to 1.0's, so one max reduction clears a valid batch. A
+    larger pattern (a sign bit, NaN, an infinity or a value above 1) is
+    decided by min and max, which NaN fails and which accept -0.0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size and x.view(np.uint64).max() > _ONE_BITS:
+        if not (x.min() >= 0.0 and x.max() <= 1.0):
+            raise InputShapeError("input strengths must be finite values in [0,1]")
+    return x
+
+
 def output_distributions(gaf: LayeredGaf, matrix: np.ndarray) -> np.ndarray:
-    """Batched class distributions, one row per instance."""
-    _, z_out = forward_pass(*gaf._decomposition(), matrix)
+    """Batched class distributions, one row per instance of input strengths
+    in [0, 1]; other values raise InputShapeError (see check_strengths)."""
+    _, z_out = forward_pass(*gaf._decomposition(), check_strengths(matrix))
     return softmax_rows(z_out)
 
 

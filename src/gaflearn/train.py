@@ -15,9 +15,12 @@ unit's strength reaches no output, so every term it would add to a product
 or a gradient is an exact zero. The live units of each layer are gathered
 into compact (P, k_src, k_dst) arrays, padded to the stack's widest with
 zero-weight, zero-mask slots, and each net's inputs are gathered on its
-live columns. A compact product adds the same nonzero terms in the same
-order as the full-shape one, so the two agree bit for bit wherever BLAS
-adds a product's terms in index order. OpenBLAS 0.3.31 does for products at
+live columns. Minibatch training builds those columns once per stack as
+a (P, n, k) uint8 block and gathers each step's batch from it with one
+``np.take``, so training inputs must be 0/1 indicators. A compact
+product adds the same nonzero terms in the same order as the full-shape
+one, so the two agree bit for bit wherever BLAS adds a product's terms
+in index order. OpenBLAS 0.3.31 does for products at
 most 15 terms wide (Iris's whole input layer is 12 wide), but not in some
 output columns of wider ones: in a dense 118-wide input product, hidden
 columns 8-11 may round differently once three or more live inputs are
@@ -42,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GafError, InputShapeError
-from .graph import GafStructure, LayeredGaf, build_gaf, forward_pass, live_units
+from .graph import GafStructure, LayeredGaf, build_gaf, check_strengths, forward_pass, live_units
 from .util import check_field_types, class_indices, log_sum_exp, softmax_rows
 
 ADAM_BETA1 = 0.9
@@ -125,11 +128,13 @@ class MaskedNet:
         return forward_pass(self.structure, self.weights, self.biases, x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        _, z = self.forward(x)
+        """Class distributions of a batch of input strengths in [0, 1]."""
+        _, z = self.forward(check_strengths(x))
         return softmax_rows(z)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        _, z = self.forward(x)
+        """The argmax class of each row of a batch of input strengths in [0, 1]."""
+        _, z = self.forward(check_strengths(x))
         return np.argmax(z, axis=1)
 
 
@@ -226,8 +231,9 @@ def _bind(
 
 def _check_split(layer_sizes: Sequence[int], x: np.ndarray, y) -> np.ndarray:
     """y as x's class indices (see :func:`util.class_indices`); raise
-    InputShapeError unless x is an (n, inputs) matrix of strengths in
-    [0, 1] and y a vector of n classes, both as ``layer_sizes`` has them.
+    InputShapeError unless x is an (n, inputs) matrix of 0/1 indicators and
+    y a vector of n classes, both as ``layer_sizes`` has them. Strengths
+    outside [0, 1] are refused first, with evaluate's message.
     x must have rows: the caller refuses an empty split first.
 
     Compact kernels read only the live input columns, and the training loop
@@ -236,9 +242,10 @@ def _check_split(layer_sizes: Sequence[int], x: np.ndarray, y) -> np.ndarray:
     """
     if x.ndim != 2 or x.shape[1] != layer_sizes[0]:
         raise InputShapeError(f"expected (n, {layer_sizes[0]}) inputs, got shape {x.shape}")
-    # two reductions and no full-size temporary; NaN fails both comparisons
-    if not (x.min() >= 0.0 and x.max() <= 1.0):
-        raise InputShapeError("input strengths must be finite values in [0,1]")
+    # minibatches read a uint8 copy, which would truncate a fraction silently
+    if not ((x == 0) | (x == 1)).all():
+        check_strengths(x)  # NaN and values outside [0, 1] get evaluate's message
+        raise InputShapeError("training inputs must be 0/1 indicators")
     return class_indices(y, x.shape[0], layer_sizes[-1])
 
 
@@ -395,7 +402,10 @@ def train_population(
     padded to the stack's widest with zero-weight, zero-mask slots. Each
     net's inputs are gathered on its live columns, into one (P, rows, k)
     array, unless every net reads every column (a fully connected input
-    layer): then the stack reads x_train and x_val as given. When an
+    layer): then the stack reads x_train and x_val as given. With
+    minibatches that array is a C-ordered uint8 block built once per stack;
+    each step takes its batch from it with one ``np.take`` and casts it to
+    float64, and stopped nets leave it with one row selection. When an
     individual leaves, its best compact parameters are scattered back into
     its initialized full-shape net. A dead edge would get an exactly-zero
     gradient, so it keeps its initial draw, and a dead hidden bias stays 0.
@@ -405,8 +415,10 @@ def train_population(
     a time; an epoch's validation pass computes the loss alone.
     Parameters, gradients, Adam's moments and the best parameters are one
     (P, n_params) slab each (see the module docstring). Inputs and labels
-    are checked once, here: inputs must be strengths in [0, 1] and labels
-    class indices of the output layer. The steps do not check them again.
+    are checked once, here: inputs must be 0/1 indicators, as the uint8
+    block would truncate any other strength (a value outside [0, 1] or NaN
+    is refused first, with evaluate's message), and labels class indices
+    of the output layer. The steps do not check them again.
     Each result is bit-identical to training its full structure alone with
     the full-shape kernels wherever BLAS adds each product's terms in index
     order (see the module docstring). A validation loss that is not finite
@@ -453,7 +465,9 @@ def train_population(
     starts = range(0, n, batch_size)
     # inputs on the live columns: x_train and x_val themselves when every net
     # reads every column (a fully connected input layer), else a C-ordered
-    # (P, rows, k) gather per net
+    # (P, rows, k) gather per net. Minibatches gather from x_cols, each net's
+    # columns as one C-ordered (P, n, k) uint8 block; a -1 padding slot reads
+    # the last column, as the full-batch gather does
     cols = units[0]
     full = cols.shape[1] == x_train.shape[1] and bool((cols >= 0).all())
     if full:
@@ -462,13 +476,21 @@ def train_population(
         x_val = x_val[np.arange(len(x_val))[:, None], cols[:, None, :]]
         if batch_size == n:
             x_live = x_train[np.arange(n)[:, None], cols[:, None, :]]
+        else:
+            x_cols = np.ascontiguousarray(x_train.astype(np.uint8).T[cols].transpose(0, 2, 1))
     for epoch in range(1, config.max_epochs + 1):
         if batch_size < n:
             order = np.stack([rngs[i].permutation(n) for i in active])
+            if not full:  # net k's row r is row k * n + r of the flattened block
+                flat = x_cols.reshape(-1, x_cols.shape[2])
+                offsets = np.arange(0, flat.shape[0], n)[:, None]
         for b, start in enumerate(starts):
             if batch_size < n:
                 idx = order[:, start : start + batch_size]
-                x = x_live[idx] if full else x_train[idx[:, :, None], cols[:, None, :]]
+                if full:
+                    x = x_live[idx]
+                else:
+                    x = np.take(flat, idx + offsets, axis=0).astype(np.float64)
                 gradients(stack, x, y_train[idx], out=grad_views)
             else:
                 gradients(stack, x_live, y_train, out=grad_views)
@@ -501,7 +523,7 @@ def train_population(
             if full:
                 x, xv = x_live, x_val
             else:
-                x = x_live[k] if batch_size == n else np.take(x_train, cols[k], axis=1)
+                x = x_live[k] if batch_size == n else x_cols[k]
                 xv = x_val[k]
             _, z = forward_pass(stack.structure, weights, biases, x)
             _, z_val = forward_pass(stack.structure, weights, biases, xv)
@@ -528,6 +550,8 @@ def train_population(
                 x_val = x_val[keep]
                 if batch_size == n:
                     x_live = x_live[keep]
+                else:
+                    x_cols = x_cols[keep]
     return [results[i] for i in range(len(nets))]
 
 

@@ -1,5 +1,6 @@
 """Loading, binarization, and split behaviour on small hand-checked tables."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,16 @@ def raw_from_table(tmp_path, header, rows, schema):
     lines = [",".join(header)] + [",".join(str(v) for v in r) for r in rows]
     path.write_text("\n".join(lines) + "\n")
     return load_csv(path, schema)
+
+
+def column_values(raw, name):
+    """A feature column's values as the table holds them: numbers, 0/1, or a
+    categorical column's level names."""
+    j = raw.feature_names.index(name)
+    column = raw.columns[j]
+    if raw.specs[j].kind == "categorical":
+        return [raw.levels[j][code] for code in column]
+    return column.tolist()
 
 
 NUM_SCHEMA = make_schema({"x": {"kind": "numeric"}})
@@ -162,10 +173,9 @@ def test_mutual_exclusivity_per_source_feature(tmp_path):
 def test_predicates_reproduce_matrix(tmp_path):
     raw = mixed_raw(tmp_path, seed=9)
     binz = binarize(raw, bins_per_numeric=3)
-    col_pos = {name: i for i, name in enumerate(raw.feature_names)}
-    for r, row in enumerate(raw.rows):
-        for c, ind in enumerate(binz.indicators):
-            want = 1.0 if ind.matches(row[col_pos[ind.source_column]]) else 0.0
+    for c, ind in enumerate(binz.indicators):
+        for r, value in enumerate(column_values(raw, ind.source_column)):
+            want = 1.0 if ind.matches(value) else 0.0
             assert binz.matrix[r, c] == want
 
 
@@ -178,7 +188,7 @@ def raw_tables(draw):
     """Small RawDatasets mixing all three column kinds, as load_csv builds them."""
     n = draw(st.integers(1, 20))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
-    specs, columns = [], []
+    specs, columns, levels = [], [], []
     for j, kind in enumerate(kinds):
         if kind == "numeric":
             values = st.sampled_from(NUMBER_POOL)
@@ -186,14 +196,23 @@ def raw_tables(draw):
             bins = None if thresholds else draw(st.none() | st.integers(2, 5))
             thresholds = tuple(sorted(thresholds)) if thresholds else None
             specs.append(ColumnSpec(f"c{j}", kind, bins=bins, thresholds=thresholds))
-        else:
-            values = st.sampled_from(["a", "b", "c", "?"] if kind == "categorical" else [0, 1])
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n))))
+            levels.append(())
+        elif kind == "categorical":
+            values = draw(st.lists(st.sampled_from(["a", "b", "c", "?"]), min_size=n, max_size=n))
             specs.append(ColumnSpec(f"c{j}", kind))
-        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+            levels.append(tuple(sorted(set(values))))
+            columns.append(np.array([levels[-1].index(v) for v in values], dtype=np.intp))
+        else:
+            specs.append(ColumnSpec(f"c{j}", kind))
+            bits = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+            columns.append(np.array(bits, dtype=np.uint8))
+            levels.append(())
     raw = RawDataset(
         feature_names=tuple(spec.name for spec in specs),
         specs=tuple(specs),
-        rows=tuple(zip(*columns)),
+        columns=tuple(columns),
+        levels=tuple(levels),
         labels=tuple(draw(st.lists(st.sampled_from(["p", "q"]), min_size=n, max_size=n))),
         label_name="y",
         label_values=("q", "p"),  # not sorted, so the declared order must be kept
@@ -209,11 +228,12 @@ def raw_tables(draw):
 def test_binarize_matches_indicator_predicates_and_stays_one_hot(table):
     raw, bins_per_numeric, fit = table
     binz = binarize(raw, bins_per_numeric, fit_indices=fit)
-    col_pos = {name: i for i, name in enumerate(raw.feature_names)}
-    want = [
-        [1.0 if ind.matches(row[col_pos[ind.source_column]]) else 0.0 for ind in binz.indicators]
-        for row in raw.rows
-    ]
+    want = np.array(
+        [
+            [1.0 if ind.matches(value) else 0.0 for value in column_values(raw, ind.source_column)]
+            for ind in binz.indicators
+        ]
+    ).T
     assert binz.matrix.dtype == np.float64 and binz.matrix.flags["C_CONTIGUOUS"]
     assert binz.matrix.shape == (raw.n_instances, len(binz.indicators))
     assert np.array_equal(binz.matrix, want)
@@ -264,14 +284,14 @@ def test_load_csv_without_missing_marker_keeps_question_marks(tmp_path):
     schema = make_schema({"c": {"kind": "categorical"}})
     raw = raw_from_table(tmp_path, ["c", "y"], [("?", "a"), ("u", "b")], schema)
     assert raw.n_instances == 2
-    assert raw.rows[0][0] == "?"
+    assert column_values(raw, "c") == ["?", "u"]
 
 
 def test_load_csv_strips_whitespace(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("x, y\n 1.5 , a\n2.5,b \n")
     raw = load_csv(path, NUM_SCHEMA)
-    assert raw.rows[0][0] == 1.5
+    assert raw.columns[0].tolist() == [1.5, 2.5]
     assert raw.labels == ("a", "b")
 
 
@@ -287,7 +307,15 @@ def test_load_csv_skips_a_byte_order_mark_and_keeps_line_numbers(tmp_path):
     original = (ROOT / "data" / "iris.csv").read_bytes()
     marked = tmp_path / "iris.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + original)
-    assert load_csv(marked, schema) == load_csv(ROOT / "data" / "iris.csv", schema)
+    got, want = load_csv(marked, schema), load_csv(ROOT / "data" / "iris.csv", schema)
+    for field in fields(RawDataset):  # == on the array fields would raise
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "columns":
+            assert len(a) == len(b) and all(
+                x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b)
+            )
+        else:
+            assert a == b, field.name
     n_lines = original.count(b"\n")
     marked.write_bytes(b"\xef\xbb\xbf" + original + b"1,2,3\n")
     with pytest.raises(ParseError, match=f"line {n_lines + 1}: expected 5 fields, got 3"):
@@ -322,6 +350,17 @@ def test_load_csv_rejects_undeclared_label_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n1,a\n2,c\n")
     with pytest.raises(SchemaError, match="line 3"):
+        load_csv(path, schema)
+
+
+def test_load_csv_reports_the_first_defect_in_file_order(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y\n1,a\noops,b\n2,a,EXTRA\n")
+    with pytest.raises(ParseError, match="line 3: column 'x': 'oops' is not numeric"):
+        load_csv(path, NUM_SCHEMA)
+    schema = make_schema({"x": {"kind": "numeric"}}, label_values=["a", "b"])
+    path.write_text("x,y\n1,a\noops,c\n")
+    with pytest.raises(ParseError, match="line 3: column 'x': 'oops' is not numeric"):
         load_csv(path, schema)
 
 

@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gaflearn import (
     prune_inert_edges,
 )
 from gaflearn.graph import live_units
+from gaflearn.model_io import from_json
 
 
 def sigma(x):
@@ -350,6 +352,23 @@ def test_rejects_bad_inputs():
         output_distributions(gaf, np.zeros((2, 3, 1)))
     with pytest.raises(InputShapeError):
         MaskedNet.from_gaf(gaf).predict(np.zeros((2, 3, 1)))
+
+
+@pytest.mark.parametrize("value", [np.nan, 5.0])
+def test_batched_prediction_refuses_strengths_outside_0_1(value):
+    """A NaN row used to predict class 0, and a 5.0 row a plausible class."""
+    reference = Path(__file__).resolve().parent / "reference" / "iris_seed0" / "run_00"
+    gaf, _ = from_json((reference / "model.json").read_text(encoding="utf-8"))
+    x = np.zeros((4, len(gaf.layers[0])))
+    x[:, 0] = 1.0
+    x[2, 3] = value
+    net = MaskedNet.from_gaf(gaf)
+    message = r"input strengths must be finite values in \[0,1\]"
+    for predict in (lambda m: output_distributions(gaf, m), net.predict, net.predict_proba):
+        with pytest.raises(InputShapeError, match=message):
+            predict(x)
+    with pytest.raises(InputShapeError, match=message):
+        evaluate(gaf, x[2])
 
 
 def test_prune_inert_edges_keeps_distributions_bitwise():

@@ -701,6 +701,17 @@ def test_training_refuses_input_strengths_outside_0_1(split, value):
         train(structure, data["x_train"], y, data["x_val"], y[:8], config)
 
 
+@pytest.mark.parametrize("split", ["x_train", "x_val"])
+def test_training_refuses_inputs_that_are_not_0_1_indicators(split):
+    x, y = noisy_task(n=20)
+    data = {"x_train": x.copy(), "x_val": x[:8].copy()}
+    data[split][3, 1] = 0.5
+    config = TrainConfig(learning_rate=0.1, max_epochs=3, batch_size=8)
+    structure = GafStructure.fully_connected([4, 2])
+    with pytest.raises(InputShapeError, match="training inputs must be 0/1 indicators"):
+        train(structure, data["x_train"], y, data["x_val"], y[:8], config)
+
+
 def test_empty_splits_are_rejected():
     structure = GafStructure.fully_connected([2, 2])
     config = TrainConfig(learning_rate=0.1)
