@@ -19,7 +19,7 @@ from .train import TrainConfig, TrainResult, to_classifier, train
 from .util import class_indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metrics:
     accuracy: float
     macro_precision: float

@@ -124,7 +124,7 @@ def load_schema(path: str | Path) -> DatasetSchema:
     return schema_from_dict(raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawDataset:
     """Cleaned tabular data: one array per feature column plus string labels.
 
@@ -301,7 +301,7 @@ class Indicator:
         return True  # always_true
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinarizedDataset:
     indicators: tuple[Indicator, ...]
     matrix: np.ndarray  # (n_instances, n_indicators) of 0.0/1.0

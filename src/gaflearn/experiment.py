@@ -249,7 +249,7 @@ def _write_resolved_config(config: ExperimentConfig, extra: dict) -> None:
     write_text_atomic(config.out_dir / "resolved_config.json", json.dumps(doc, indent=2) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Run:
     """One seeded run, as the run loop hands it to a fit function.
 
@@ -264,7 +264,7 @@ class _Run:
     test: tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Fitted:
     """What a fit function reports back for one run."""
 

@@ -111,7 +111,7 @@ class GaConfig:
             raise ConfigError("n_conn_init counts must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class EvaluatedIndividual:
     bits: np.ndarray  # uint8 row of 0/1, see decode
     fitness: float

@@ -61,7 +61,7 @@ def edge_polarity(edge: WeightedEdge) -> Polarity:
     return Polarity.NEUTRAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GafStructure:
     """Connection structure only: which forward edges exist, no weights.
 
@@ -103,7 +103,7 @@ class GafStructure:
         return int(sum(m.sum() for _, _, m in self.blocks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interpretation:
     """Strengths for every argument plus the softmax class distribution."""
 
@@ -213,10 +213,6 @@ class LayeredGaf:
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self._layers)
-
-    @property
-    def depth(self) -> int:
-        return len(self._layers) - 1
 
     def arguments(self) -> tuple[Argument, ...]:
         """All arguments in layer-major order (the canonical vector order)."""

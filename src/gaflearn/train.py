@@ -14,17 +14,16 @@ the units with a path to an output (:func:`graph.live_units`). A dead
 unit's strength reaches no output, so every term it would add to a product
 or a gradient is an exact zero. The live units of each layer are gathered
 into compact (P, k_src, k_dst) arrays, padded to the stack's widest with
-zero-weight, zero-mask slots, and each net's inputs are gathered on its
-live columns. Minibatch training builds those columns once per stack as
-a (P, n, k) uint8 block and gathers each step's batch from it with one
-``np.take``, so training inputs must be 0/1 indicators. A compact
-product adds the same nonzero terms in the same order as the full-shape
-one, so the two agree bit for bit wherever BLAS adds a product's terms
-in index order. OpenBLAS 0.3.31 does for products at
-most 15 terms wide (Iris's whole input layer is 12 wide), but not in some
-output columns of wider ones: in a dense 118-wide input product, hidden
-columns 8-11 may round differently once three or more live inputs are
-active together.
+zero-weight, zero-mask slots. A stack trains from one input array: the
+training matrix as given when every net reads every column, else each
+net's live columns as one (P, n, k) block, in uint8 under minibatches, so
+training inputs must be 0/1 indicators. A compact product adds the same
+nonzero terms in the same order as the full-shape one, so the two agree
+bit for bit wherever BLAS adds a product's terms in index order. OpenBLAS
+0.3.31 does for products at most 15 terms wide (Iris's whole input layer
+is 12 wide), but not in some output columns of wider ones: in a dense
+118-wide input product, hidden columns 8-11 may round differently once
+three or more live inputs are active together.
 
 A stack's parameters live in one C-ordered (P, n_params) slab, each row one
 net's compact weights and biases in turn; the stack's weight and bias
@@ -399,20 +398,22 @@ def train_population(
     consecutive epochs fail to beat its best by more than es_tolerance.
 
     The stack holds only each net's live support: its live units per layer,
-    padded to the stack's widest with zero-weight, zero-mask slots. Each
-    net's inputs are gathered on its live columns, into one (P, rows, k)
-    array, unless every net reads every column (a fully connected input
-    layer): then the stack reads x_train and x_val as given. With
-    minibatches that array is a C-ordered uint8 block built once per stack;
-    each step takes its batch from it with one ``np.take`` and casts it to
-    float64, and stopped nets leave it with one row selection. When an
-    individual leaves, its best compact parameters are scattered back into
-    its initialized full-shape net. A dead edge would get an exactly-zero
-    gradient, so it keeps its initial draw, and a dead hidden bias stays 0.
+    padded to the stack's widest with zero-weight, zero-mask slots. It trains
+    from one input array, built here once. When every net reads every column
+    (a fully connected input layer) that is x_train as given, and x_val is
+    read as given too. Otherwise it is each net's live columns as one
+    C-ordered (P, n, k) block, float64 under full batch and uint8 under
+    minibatches, and x_val is gathered the same way in float64; stopped nets
+    leave both with one row selection. A minibatch step takes its rows from
+    either form with one ``np.take`` on the flattened array and casts them
+    to float64. When an individual leaves, its best compact parameters are
+    scattered back into its initialized full-shape net. A dead edge would
+    get an exactly-zero gradient, so it keeps its initial draw, and a dead
+    hidden bias stays 0.
     Its train and validation accuracies, the shares of training and of
     validation rows whose argmax class is the label, are scored then too,
-    with its best compact parameters on its live input columns, one net at
-    a time; an epoch's validation pass computes the loss alone.
+    with its best compact parameters on its slice of the inputs, one net
+    at a time; an epoch's validation pass computes the loss alone.
     Parameters, gradients, Adam's moments and the best parameters are one
     (P, n_params) slab each (see the module docstring). Inputs and labels
     are checked once, here: inputs must be 0/1 indicators, as the uint8
@@ -462,39 +463,34 @@ def train_population(
 
     n = x_train.shape[0]
     batch_size = config.batch_size if 0 < config.batch_size < n else n
-    starts = range(0, n, batch_size)
-    # inputs on the live columns: x_train and x_val themselves when every net
-    # reads every column (a fully connected input layer), else a C-ordered
-    # (P, rows, k) gather per net. Minibatches gather from x_cols, each net's
-    # columns as one C-ordered (P, n, k) uint8 block; a -1 padding slot reads
-    # the last column, as the full-batch gather does
+    # the training inputs, one array per stack: x_train as given when every
+    # net reads every column (a fully connected input layer), else each net's
+    # live columns as one C-ordered (P, n, k) block, float64 for full batch
+    # and uint8 for minibatches; a -1 padding slot reads the last column
     cols = units[0]
     full = cols.shape[1] == x_train.shape[1] and bool((cols >= 0).all())
     if full:
         x_live = x_train
     else:
         x_val = x_val[np.arange(len(x_val))[:, None], cols[:, None, :]]
-        if batch_size == n:
-            x_live = x_train[np.arange(n)[:, None], cols[:, None, :]]
-        else:
-            x_cols = np.ascontiguousarray(x_train.astype(np.uint8).T[cols].transpose(0, 2, 1))
+        dtype = np.float64 if batch_size == n else np.uint8
+        x_live = np.ascontiguousarray(x_train.astype(dtype, copy=False).T[cols].transpose(0, 2, 1))
+    step = 0
     for epoch in range(1, config.max_epochs + 1):
         if batch_size < n:
             order = np.stack([rngs[i].permutation(n) for i in active])
-            if not full:  # net k's row r is row k * n + r of the flattened block
-                flat = x_cols.reshape(-1, x_cols.shape[2])
-                offsets = np.arange(0, flat.shape[0], n)[:, None]
-        for b, start in enumerate(starts):
+            # net k's row r is row k * n + r of a flattened block; every
+            # net reads the shared matrix at offset 0
+            flat = x_live.reshape(-1, x_live.shape[-1])
+            offsets = 0 if full else n * np.arange(len(active))[:, None]
+        for start in range(0, n, batch_size):
             if batch_size < n:
                 idx = order[:, start : start + batch_size]
-                if full:
-                    x = x_live[idx]
-                else:
-                    x = np.take(flat, idx + offsets, axis=0).astype(np.float64)
+                x = np.take(flat, idx + offsets, axis=0).astype(np.float64, copy=False)
                 gradients(stack, x, y_train[idx], out=grad_views)
             else:
                 gradients(stack, x_live, y_train, out=grad_views)
-            step = (epoch - 1) * len(starts) + b + 1
+            step += 1
             adam_step(params, grads, m, v, step, config.learning_rate)
         val_loss = _cross_entropy(stack.forward(x_val)[1], y_val)
         finite = np.isfinite(val_loss)
@@ -519,12 +515,7 @@ def train_population(
             i = int(active[k])
             compact = _views(best[k], shapes)
             weights, biases = compact[:n_weights], compact[n_weights:]
-            # one net's inputs at a time: never a (P, n, k) gather of all rows
-            if full:
-                x, xv = x_live, x_val
-            else:
-                x = x_live[k] if batch_size == n else x_cols[k]
-                xv = x_val[k]
+            x, xv = (x_live, x_val) if full else (x_live[k], x_val[k])
             _, z = forward_pass(stack.structure, weights, biases, x)
             _, z_val = forward_pass(stack.structure, weights, biases, xv)
             _scatter(nets[i], compact, [u[k] for u in units])
@@ -545,13 +536,8 @@ def train_population(
                 a[keep] for a in (params, masks, grads, best, m, v)
             )
             grad_views = _bind(stack, params, masks, grads, shapes)
-            cols = units[0]
-            if not full:  # per-net gathers lose the stopped nets' slices
-                x_val = x_val[keep]
-                if batch_size == n:
-                    x_live = x_live[keep]
-                else:
-                    x_cols = x_cols[keep]
+            if not full:  # a per-net block loses the stopped nets' slices
+                x_live, x_val = x_live[keep], x_val[keep]
     return [results[i] for i in range(len(nets))]
 
 

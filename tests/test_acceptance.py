@@ -37,8 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DATA = ROOT / "data"
 # configs/iris.json's summary.csv and generations.csv files at master seed 0,
-# run 0's model.json without its metadata, and the summary.csv of its
-# unlimited (tree/) and depth-3 (tree-depth3/) trees
+# run 0's model.json without its metadata, the summary.csv of its unlimited
+# (tree/) and depth-3 (tree-depth3/) trees, and the logistic baseline's
+# summary.csv and run 0 model.json without its metadata (logistic/)
 IRIS_REFERENCE = Path(__file__).resolve().parent / "reference" / "iris_seed0"
 # numpy's SIMD exp and log differ between builds and CPUs by a few ULP, which
 # moved trained model.json values by at most 4.7e-12 relative when the
@@ -370,25 +371,34 @@ def _floats_apart(text: str) -> tuple[dict, np.ndarray]:
     return json.loads(text, parse_float=read), np.array(floats)
 
 
-def test_iris_seed0_run0_parameters_match_the_pin(iris_experiment):
-    # exact on the numpy build and CPU features the pin was made with, and
-    # within PIN_RTOL elsewhere; either way the test runs and says which
-    gaf, _ = from_json((iris_experiment[3] / "gaf" / "run_00" / "model.json").read_text())
+def assert_model_matches_the_pin(model: Path, pin: Path, what: str) -> None:
+    """The model file's graph, written by to_json without metadata, equals
+    the pinned text: exact on the numpy build and CPU features recorded in
+    run_00/numpy.json, and within PIN_RTOL elsewhere; prints which ran."""
+    gaf, _ = from_json(model.read_text())
     got = to_json(gaf)
-    pinned = (IRIS_REFERENCE / "run_00" / "model.json").read_text()
+    pinned = pin.read_text()
     record = json.loads((IRIS_REFERENCE / "run_00" / "numpy.json").read_text())
     exact = (
         np.__version__ == record["numpy"]
         and np.show_config(mode="dicts")["SIMD Extensions"] == record["simd_extensions"]
     )
     if exact:
-        print(f"run 0 parameters: exact comparison (numpy {np.__version__}, recorded SIMD)")
+        print(f"{what}: exact comparison (numpy {np.__version__}, recorded SIMD)")
         assert got == pinned
         return
-    print(f"run 0 parameters: relative tolerance {PIN_RTOL} (numpy {np.__version__})")
+    print(f"{what}: relative tolerance {PIN_RTOL} (numpy {np.__version__})")
     (got_doc, a), (pinned_doc, b) = _floats_apart(got), _floats_apart(pinned)
     assert got_doc == pinned_doc and a.shape == b.shape
     assert np.all(np.abs(a - b) <= PIN_RTOL * np.maximum(np.abs(b), 1.0))
+
+
+def test_iris_seed0_run0_parameters_match_the_pin(iris_experiment):
+    assert_model_matches_the_pin(
+        iris_experiment[3] / "gaf" / "run_00" / "model.json",
+        IRIS_REFERENCE / "run_00" / "model.json",
+        "run 0 parameters",
+    )
 
 
 @pytest.mark.parametrize(
@@ -402,12 +412,18 @@ def test_iris_seed0_tree_baselines_match_the_reference_files(tmp_path, name, max
 
 
 def test_iris_seed0_logistic_baseline_matches_the_reference_file(tmp_path):
-    # the one caller whose fully connected stack reads x_train as given,
-    # without a per-net gather of its live input columns
+    # the one caller whose stack is fully connected: it trains on x_train
+    # as given, where every other stack trains on a block of its nets' live
+    # input columns
     config = load_experiment_config(CONFIGS / "iris.json", out=tmp_path / "logistic")
     run_baseline_experiment(config, "logistic")
     summary = (tmp_path / "logistic" / "summary.csv").read_bytes()
     assert summary == (IRIS_REFERENCE / "logistic" / "summary.csv").read_bytes()
+    assert_model_matches_the_pin(
+        tmp_path / "logistic" / "run_00" / "model.json",
+        IRIS_REFERENCE / "logistic" / "run_00" / "model.json",
+        "logistic run 0 parameters",
+    )
 
 
 # -- criterion 6: Mushroom reproduction (needs the fetched dataset) ---------

@@ -3,14 +3,17 @@
 import csv
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gaflearn.experiment as experiment
 from gaflearn.cli import main
+from gaflearn.baselines import evaluate_metrics
+from gaflearn.data import binarize, load_csv, load_schema
 from gaflearn.errors import ConfigError
-from gaflearn.ga import GenerationStats
+from gaflearn.ga import EvaluatedIndividual, GenerationStats, chromosome_length, decode
 from gaflearn.experiment import (
     SUMMARY_COLUMNS,
     ExperimentConfig,
@@ -19,8 +22,9 @@ from gaflearn.experiment import (
     run_seed_for,
     run_training_experiment,
 )
-from gaflearn.graph import prune_inert_edges
+from gaflearn.graph import Argument, LayeredGaf, evaluate, prune_inert_edges
 from gaflearn.model_io import from_json
+from gaflearn.train import TrainConfig, train
 from gaflearn.util import write_text_atomic
 
 TOY_GA = {
@@ -433,3 +437,50 @@ def test_baseline_rejects_unknown_kind(tmp_path):
     )
     with pytest.raises(ConfigError, match="kind"):
         run_baseline_experiment(config, "svm")
+
+
+IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
+IRIS_SCHEMA = IRIS_CSV.parent.parent / "configs" / "iris.schema.json"
+
+
+def _iris_binarized():
+    return binarize(load_csv(IRIS_CSV, load_schema(IRIS_SCHEMA)))
+
+
+def _iris_train_result():
+    b = _iris_binarized()
+    structure = decode(np.ones(chromosome_length((12, 2, 3)), dtype=np.uint8), (12, 2, 3))
+    return train(structure, b.matrix, b.labels, b.matrix, b.labels, TrainConfig(0.1, max_epochs=1))
+
+
+def _iris_run():
+    b = _iris_binarized()
+    split = (b.matrix.copy(), b.labels.copy())
+    return experiment._Run(0, 0, b, split, split, split)
+
+
+# each builds a new instance with the same content on every call
+ARRAY_DATACLASSES = {
+    "RawDataset": lambda: load_csv(IRIS_CSV, load_schema(IRIS_SCHEMA)),
+    "BinarizedDataset": _iris_binarized,
+    "GafStructure": lambda: decode(np.ones(chromosome_length((2, 3)), dtype=np.uint8), (2, 3)),
+    "Interpretation": lambda: evaluate(
+        LayeredGaf([[Argument("a", "x", 0, 0.5)], [Argument("b", "y", 1, 0.5)]], []), [1.0]
+    ),
+    "Metrics": lambda: evaluate_metrics([0, 1], [0, 1]),
+    "EvaluatedIndividual": lambda: EvaluatedIndividual(
+        np.ones(3, dtype=np.uint8), 0.5, 3, _iris_train_result()
+    ),
+    "_Run": _iris_run,
+    "_Fitted": lambda: experiment._Fitted(np.zeros(3, dtype=np.int64), 0, "size=0"),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_DATACLASSES.values(), ids=ARRAY_DATACLASSES.keys())
+def test_dataclasses_holding_arrays_compare_by_identity_and_hash(make):
+    # a generated == would compare the arrays element-wise and raise
+    a, b = make(), make()
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
