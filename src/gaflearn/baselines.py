@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputShapeError
-from .graph import GafStructure, LayeredGaf
+from .graph import GafStructure, LayeredGaf, check_strengths
 from .train import TrainConfig, TrainResult, to_classifier, train
 from .util import class_indices
 
@@ -105,7 +105,8 @@ class DecisionTree:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise InputShapeError(f"expected (n, {self.n_features}) inputs, got {x.shape}")
-        # route row indices node by node; a NaN is not < 0.5, so it goes right
+        check_strengths(x)
+        # route row indices node by node
         out = np.empty(x.shape[0], dtype=np.int64)
         parts = [(self.root, np.arange(x.shape[0]))]
         while parts:

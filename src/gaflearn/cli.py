@@ -51,12 +51,6 @@ def _add_override_flags(sub: argparse.ArgumentParser, with_lambda: bool) -> None
     sub.add_argument("--seed", type=int, default=None, help="override master seed")
     sub.add_argument("--runs", type=int, default=None, help="override run count")
     sub.add_argument("--out", default=None, help="override output directory")
-    sub.add_argument(
-        "--bin-fit",
-        choices=("train", "all"),
-        default=None,
-        help="fit numeric thresholds on the training split or on all rows",
-    )
     if with_lambda:
         sub.add_argument(
             "--lambda",
@@ -122,7 +116,6 @@ def _load_config(args, lam=None):
         runs=args.runs,
         out=args.out,
         lam=lam,
-        bin_fit=args.bin_fit,
     )
 
 

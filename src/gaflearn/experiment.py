@@ -60,10 +60,12 @@ class ExperimentConfig:
     runs: int = 10
     seed: int = 0
     bins_per_numeric: int = 3
-    bin_fit: str = "train"  # "train" fits numeric thresholds per run, "all" on every row
     hidden_layers: tuple[int, ...] = (12,)
     ga: GaConfig  # seed 0; ga_config(seed) gives a run's
     train: TrainConfig
+    # Not a field, so no setting: every run fits thresholds on its training rows.
+    # perfbench/workloads.py still reads it; delete it with that read (ROADMAP item 1).
+    bin_fit = "train"
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -73,8 +75,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
         if any(h < 1 for h in self.hidden_layers):
             raise ConfigError(f"hidden_layers sizes must be >= 1, got {list(self.hidden_layers)}")
-        if self.bin_fit not in ("train", "all"):
-            raise ConfigError(f"bin_fit must be 'train' or 'all', got {self.bin_fit!r}")
 
     def ga_config(self, seed: int) -> GaConfig:
         return replace(self.ga, seed=seed)
@@ -141,7 +141,6 @@ def load_experiment_config(
     runs: int | None = None,
     out: str | Path | None = None,
     lam: float | None = None,
-    bin_fit: str | None = None,
 ) -> ExperimentConfig:
     """Read a JSON experiment config; keyword arguments override its fields.
 
@@ -173,7 +172,7 @@ def load_experiment_config(
             if not isinstance(doc[key], str) or not doc[key]:
                 raise ConfigError(f"{path}: {key} must be a non-empty string, got {doc[key]!r}")
             doc[key] = base / doc[key]  # an absolute path stays as it is
-    overrides = {"seed": seed, "runs": runs, "out": out, "bin_fit": bin_fit}
+    overrides = {"seed": seed, "runs": runs, "out": out}
     doc.update((key, v) for key, v in overrides.items() if v is not None)
     doc["out"] = Path(doc.get("out", Path("out") / path.stem)).absolute()
     if lam is not None and isinstance(doc.get("ga"), dict):
@@ -314,8 +313,7 @@ def _run_experiment(
             )
         except StratificationError as exc:
             raise StratificationError(f"{config.dataset_path}: {exc}") from None
-        fit_rows = split.train if config.bin_fit == "train" else None
-        binz = binarize(raw, config.bins_per_numeric, fit_indices=fit_rows)
+        binz = binarize(raw, config.bins_per_numeric, fit_indices=split.train)
         x, y = binz.matrix, binz.labels
         run = _Run(
             index=r,
@@ -377,7 +375,7 @@ def run_training_experiment(
             config.train,
         )
         gaf = to_classifier(best.result, binz.input_argument_names, binz.label_names)
-        n_connections = gaf.connection_count()
+        n_connections = len(gaf.edges)
         generations_run = log[-1].generation
 
         def save(run_dir: Path, metrics: Metrics) -> None:
@@ -455,7 +453,7 @@ def run_baseline_experiment(
         def save(run_dir: Path, _metrics: Metrics) -> None:
             write_text_atomic(run_dir / "model.json", to_json(gaf, metadata))
 
-        n_connections = gaf.connection_count()
+        n_connections = len(gaf.edges)
         return _Fitted(
             predictions=MaskedNet.from_gaf(gaf).predict(run.test[0]),
             n_connections=n_connections,

@@ -218,15 +218,6 @@ class LayeredGaf:
         """All arguments in layer-major order (the canonical vector order)."""
         return tuple(arg for layer in self._layers for arg in layer)
 
-    def input_arguments(self) -> tuple[Argument, ...]:
-        return self._layers[0]
-
-    def output_arguments(self) -> tuple[Argument, ...]:
-        return self._layers[-1]
-
-    def connection_count(self) -> int:
-        return len(self._edges)
-
     def _decomposition(self) -> tuple[GafStructure, list[np.ndarray], list[np.ndarray]]:
         """(structure, per-block weights, per-layer biases): callers must not mutate them.
 
@@ -307,10 +298,7 @@ def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretatio
     n_in = len(gaf.layers[0])
     if x.shape != (n_in,):
         raise InputShapeError(f"expected {n_in} input strengths, got shape {x.shape}")
-    inputs = x.tolist()
-    # NaN fails both comparisons, so this also rejects non-finite values
-    if not all(0.0 <= v <= 1.0 for v in inputs):
-        raise InputShapeError("input strengths must be finite values in [0,1]")
+    inputs = check_strengths(x).tolist()
     per_layer, z_out = forward_pass(*gaf._decomposition(), x[None, :])
     distribution = softmax_rows(z_out)[0]
     values = [inputs, *(s[0].tolist() for s in per_layer[1:]), expit(z_out, out=z_out)[0].tolist()]
@@ -322,8 +310,8 @@ _ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def check_strengths(x: np.ndarray) -> np.ndarray:
-    """x as a float64 array; InputShapeError, with evaluate's message,
-    unless every entry is a finite value in [0, 1].
+    """x as a float64 array; InputShapeError unless every entry is a finite
+    value in [0, 1]. Every input of a model is checked here.
 
     Read as unsigned integers, the values from +0 to 1 are exactly the bit
     patterns up to 1.0's, so one max reduction clears a valid batch. A

@@ -237,8 +237,8 @@ def reference_predict(tree, x):
 def test_tree_predicts_as_the_row_at_a_time_reference(problem, data):
     x, y, max_depth = problem
     tree = train_tree(x, y, max_depth)
-    # the training rows, and rows of any values: a NaN and 0.5 itself go right
-    values = st.sampled_from([0.0, 1.0, 0.49, 0.5, -3.0, np.nan, np.inf])
+    # the training rows, and rows of any strengths: 0.5 itself goes right
+    values = st.sampled_from([0.0, 1.0, 0.49, 0.5])
     rows = data.draw(st.lists(st.lists(values, min_size=x.shape[1], max_size=x.shape[1])))
     for grid in (x, np.array(rows, dtype=np.float64).reshape(-1, x.shape[1])):
         assert np.array_equal(tree.predict(grid), reference_predict(tree, grid))
@@ -279,6 +279,15 @@ def test_tree_rejects_bad_inputs():
         tree.predict(np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -3.0, np.inf, 1.5], ids=["nan", "-3.0", "inf", "1.5"])
+def test_tree_predict_refuses_strengths_outside_0_1(bad):
+    # as every model does, with the same message as evaluate
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    tree = train_tree(x, np.array([0, 1, 1, 1]))
+    with pytest.raises(InputShapeError, match=r"^input strengths must be finite values in \[0,1\]$"):
+        tree.predict(np.array([[0.0, 0.5], [bad, 0.0]]))
+
+
 # -- logistic baseline ---------------------------------------------------
 
 
@@ -288,7 +297,7 @@ def test_logistic_baseline_solves_separable_toy():
     config = TrainConfig(learning_rate=0.2, max_epochs=200, es_patience=200, es_tolerance=0.0)
     gaf, result = train_logistic(x, y, x, y, config, 0, ["f0", "f1"], ["n", "p"])
     assert len(gaf.layers) == 2  # no hidden layer
-    assert gaf.connection_count() == 2 * 2
+    assert len(gaf.edges) == 2 * 2
     assert result.epochs_run == len(result.val_loss) == 200
     assert result.train_accuracy == result.val_accuracy == 1.0
     predictions = np.argmax(output_distributions(gaf, x), axis=1)

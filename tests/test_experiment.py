@@ -77,7 +77,6 @@ def test_config_loader_resolves_paths_and_defaults(tmp_path):
     assert config.runs == 2
     assert config.seed == 7
     assert config.bins_per_numeric == 3
-    assert config.bin_fit == "train"
     assert config.hidden_layers == (2,)
     assert config.ga.lam == 0.1
     assert config.ga_config(5).seed == 5
@@ -87,14 +86,11 @@ def test_config_loader_resolves_paths_and_defaults(tmp_path):
 def test_config_overrides_win(tmp_path):
     write_toy_dataset(tmp_path)
     path = write_toy_config(tmp_path)
-    config = load_experiment_config(
-        path, seed=123, runs=1, out=tmp_path / "elsewhere", lam=0.7, bin_fit="all"
-    )
+    config = load_experiment_config(path, seed=123, runs=1, out=tmp_path / "elsewhere", lam=0.7)
     assert config.seed == 123
     assert config.runs == 1
     assert config.out_dir == tmp_path / "elsewhere"
     assert config.ga.lam == 0.7
-    assert config.bin_fit == "all"
 
 
 def test_config_rejects_unknown_and_missing_keys(tmp_path):
@@ -126,17 +122,25 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
         load_experiment_config(path)
 
 
-def test_retired_tree_features_key_exits_2_naming_it(tmp_path, capsys):
-    # trees read the binarized indicators, as every model does
+def test_retired_keys_exit_2_naming_them(tmp_path, capsys):
+    # trees read the binarized indicators, as every model does, and every run
+    # fits its numeric thresholds on its own training rows
     write_toy_dataset(tmp_path)
-    for value in ("binarized", "raw"):
-        path = write_toy_config(tmp_path, tree_features=value)
-        out = tmp_path / "tree"
-        assert main(["baseline", "--kind", "tree", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {path}: unknown keys ['tree_features']"
-        ]
+    out = tmp_path / "out"
+    for command, key, value in (
+        (["baseline", "--kind", "tree"], "tree_features", "binarized"),
+        (["baseline", "--kind", "tree"], "tree_features", "raw"),
+        (["train"], "bin_fit", "train"),
+        (["train"], "bin_fit", "all"),
+    ):
+        path = write_toy_config(tmp_path, **{key: value})
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: unknown keys [{key!r}]"]
         assert not out.exists()
+    with pytest.raises(SystemExit) as exc:  # argparse refuses the retired flag
+        main(["train", "--config", str(path), "--bin-fit", "all"])
+    assert exc.value.code == 2
+    assert "--bin-fit" in capsys.readouterr().err
 
 
 def test_config_names_missing_files(tmp_path):
@@ -183,14 +187,12 @@ def test_config_reports_bad_hyperparameters_with_path(tmp_path):
         ("seed", "1"),
         ("bins_per_numeric", 1),
         ("bins_per_numeric", 3.0),
-        ("bin_fit", "test"),
-        ("bin_fit", 1),
         ("schema", ""),
+        ("dataset", 3),
+        ("dataset", ""),
         ("hidden_layers", 3),
         ("hidden_layers", [0]),
         ("hidden_layers", [2.0]),
-        ("dataset", 3),
-        ("dataset", ""),
         ("out", 5),
     ],
 )
@@ -208,7 +210,7 @@ def test_config_reports_bad_top_level_settings_with_path(
     assert capsys.readouterr().err.splitlines() == [f"error: {info.value}"]
 
 
-@pytest.mark.parametrize("bad", [{"runs": 0}, {"bin_fit": "x"}], ids=["runs", "bin_fit"])
+@pytest.mark.parametrize("bad", [{"runs": 0}], ids=["runs"])
 def test_experiment_config_checks_itself(tmp_path, bad):
     write_toy_dataset(tmp_path)
     config = load_experiment_config(write_toy_config(tmp_path))
@@ -219,7 +221,7 @@ def test_experiment_config_checks_itself(tmp_path, bad):
 def test_resolved_config_loads_back_to_the_config_that_wrote_it(tmp_path, monkeypatch):
     write_toy_dataset(tmp_path)
     config = load_experiment_config(
-        write_toy_config(tmp_path, runs=1, bin_fit="all", hidden_layers=[3]),
+        write_toy_config(tmp_path, runs=1, hidden_layers=[3]),
         out=tmp_path / "out",
         lam=0.3,
     )
@@ -342,7 +344,7 @@ def test_exported_graph_is_the_searched_live_structure(tmp_path, monkeypatch):
         model = tmp_path / "out" / f"run_{record.run:02d}" / "model.json"
         gaf, meta = from_json(model.read_text())
         assert prune_inert_edges(gaf) is gaf
-        assert gaf.connection_count() == meta["n_connections"] == record.n_connections
+        assert len(gaf.edges) == meta["n_connections"] == record.n_connections
         assert record.n_connections == best.n_connections
         assert "searched_connections" not in meta
 

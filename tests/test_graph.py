@@ -192,12 +192,6 @@ def test_batch_distributions_match_single_evaluation():
             assert np.allclose(interp.output_distribution, row, rtol=0, atol=1e-12)
 
 
-def test_connection_count_is_number_of_edges():
-    rng = np.random.default_rng(11)
-    gaf = random_gaf(rng, sizes=(4, 3, 2), keep=0.5)
-    assert gaf.connection_count() == len(gaf.edges)
-
-
 def test_structure_counts_enabled_connections():
     mask01 = np.array([[True, False], [True, True]])
     mask12 = np.array([[False, True, True], [True, False, False]])
@@ -216,11 +210,11 @@ def test_build_gaf_names_and_parameter_round_trip():
     biases = [np.array([0.5, -1.0, 0.0]), np.array([2.0, -0.25])]
     gaf = build_gaf(structure, weights, biases, ["f_a", "f_b"], ["yes", "no"])
 
-    assert [a.name for a in gaf.input_arguments()] == ["f_a", "f_b"]
-    assert [a.name for a in gaf.output_arguments()] == ["yes", "no"]
+    assert [a.name for a in gaf.layers[0]] == ["f_a", "f_b"]
+    assert [a.name for a in gaf.layers[-1]] == ["yes", "no"]
     assert gaf.layers[1][0].name == "m1_0"
     assert gaf.class_labels == ("yes", "no")
-    assert gaf.connection_count() == int(mask01.sum() + mask12.sum())
+    assert len(gaf.edges) == int(mask01.sum() + mask12.sum())
     for arg in gaf.arguments()[2:]:
         assert 1e-6 <= arg.base_score <= 1 - 1e-6
     # hidden/output base scores are the logistic of the given biases
@@ -385,7 +379,7 @@ def test_prune_inert_edges_keeps_distributions_bitwise():
     ]
     gaf = LayeredGaf(layers, edges, class_labels=("u", "v"))
     pruned = prune_inert_edges(gaf)
-    assert pruned.connection_count() == 3
+    assert len(pruned.edges) == 3
     assert all(e.target != "a1_0" for e in pruned.edges)
     rng = np.random.default_rng(11)
     batch = rng.uniform(0.0, 1.0, size=(16, 2))
@@ -461,7 +455,7 @@ def layered_classifiers(draw):
 def test_prune_keeps_exactly_the_edges_into_live_units(drawn):
     gaf, rng = drawn
     # reference: an argument is live when it is an output or has an edge to a live one
-    reach = {a.id for a in gaf.output_arguments()}
+    reach = {a.id for a in gaf.layers[-1]}
     for layer in reversed(gaf.layers[:-1]):
         for arg in layer:
             if any(e.source == arg.id and e.target in reach for e in gaf.edges):

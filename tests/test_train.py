@@ -743,7 +743,7 @@ def test_classifier_assembly_matches_net_predictions():
     result = train(structure, x, y, x, y, config)
     gaf = to_classifier(result, ["f0", "f1", "f2", "f3"], ["no", "yes"])
     assert gaf.class_labels == ("no", "yes")
-    assert [a.name for a in gaf.input_arguments()] == ["f0", "f1", "f2", "f3"]
+    assert [a.name for a in gaf.layers[0]] == ["f0", "f1", "f2", "f3"]
     for arg in gaf.arguments()[4:]:
         assert 1e-6 <= arg.base_score <= 1 - 1e-6
     # graph evaluation agrees with the net (up to the base-score round trip)
