@@ -23,8 +23,9 @@ from .baselines import Metrics, evaluate_metrics, train_logistic, train_tree
 from .data import BinarizedDataset, binarize, load_csv, load_schema, split_stratified
 from .errors import ConfigError, StratificationError
 from .ga import GaConfig, GenerationStats, evolve
+from .graph import MaskedNet
 from .model_io import to_json
-from .train import MaskedNet, TrainConfig, to_classifier
+from .train import TrainConfig, to_classifier
 from .util import check_field_types, derive_seed, write_text_atomic
 
 _type_hints = cache(get_type_hints)  # each config class's annotations, evaluated once

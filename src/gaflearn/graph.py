@@ -10,10 +10,16 @@ multilayer perceptrons, so a classification graph doubles as a trainable
 model: input arguments are binarized features, output arguments are the
 class labels, and the class distribution is the softmax of the output
 pre-activations.
+
+A graph and its masked-matrix form are one model with one array form:
+every :class:`LayeredGaf` holds a :class:`MaskedNet`, which evaluation,
+batched distributions and pruning read, and one forward kernel,
+:func:`forward_pass`, serves evaluation and training alike.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -98,10 +104,6 @@ class GafStructure:
         )
         return GafStructure(sizes, blocks)
 
-    @property
-    def n_connections(self) -> int:
-        return int(sum(m.sum() for _, _, m in self.blocks))
-
 
 @dataclass(frozen=True, eq=False)
 class Interpretation:
@@ -121,8 +123,9 @@ class LayeredGaf:
     must have one output argument per label (at least two).
 
     One pass over the arguments and edges checks them and builds the
-    graph's arrays (see :meth:`_decomposition`): an edge sets its bit in
-    its block's mask, so a bit already set is a duplicate edge.
+    graph's own :class:`MaskedNet`: an edge sets its bit in its block's
+    mask, so a bit already set is a duplicate edge. The graph keeps that
+    net privately; :meth:`MaskedNet.from_gaf` hands out a copy.
     """
 
     def __init__(
@@ -189,7 +192,7 @@ class LayeredGaf:
             if len(set(self._class_labels)) != len(self._class_labels):
                 raise InvalidGraphError("class labels must be unique")
         pairs = sorted(masks)
-        self._decomposed = (
+        self._net = MaskedNet(
             GafStructure(sizes, tuple((*pair, masks[pair]) for pair in pairs)),
             [weights[pair] for pair in pairs],
             [
@@ -218,42 +221,8 @@ class LayeredGaf:
         """All arguments in layer-major order (the canonical vector order)."""
         return tuple(arg for layer in self._layers for arg in layer)
 
-    def _decomposition(self) -> tuple[GafStructure, list[np.ndarray], list[np.ndarray]]:
-        """(structure, per-block weights, per-layer biases): callers must not mutate them.
-
-        Blocks are in sorted (source, target) layer order. Biases are the
-        log-odds of the non-input base scores (+/-inf at exactly 0 or 1).
-        """
-        return self._decomposed
-
 
 # -- evaluation --------------------------------------------------------
-
-
-def layer_preactivation(
-    strengths: Sequence[np.ndarray],
-    blocks: Sequence[tuple[int, int, np.ndarray]],
-    weights: Sequence[np.ndarray],
-    bias: np.ndarray,
-    t: int,
-) -> np.ndarray:
-    """Layer ``t``'s pre-activations: ``bias + sum of strengths[src] @ w``.
-
-    ``strengths[src]`` is the (batch, size) strength matrix of layer src;
-    the sum runs over the blocks into ``t`` in their sorted order. Every
-    forward pass (evaluation, batched distributions and training)
-    aggregates through this one function. A stack of P nets has (P, ...)
-    weights, biases and strengths; inputs may be shared.
-    """
-    z = None
-    for (src, dst, _), w in zip(blocks, weights):
-        if dst == t:  # add into the fresh product: p + bias is bias + p exactly
-            p = strengths[src] @ w
-            z = np.add(p, bias[..., None, :] if z is None else z, out=p)
-    if z is None:  # no incoming block: the base scores alone
-        z = np.empty(bias.shape[:-1] + strengths[0].shape[-2:-1] + bias.shape[-1:])
-        z[:] = bias[..., None, :]
-    return z
 
 
 def forward_pass(
@@ -264,9 +233,13 @@ def forward_pass(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Strengths of every non-output layer and the output pre-activations.
 
-    ``x`` is a (batch, inputs) matrix, or (P, batch, inputs) for a stack.
-    Hidden strengths are the logistic of their pre-activations; the output
-    layer stays pre-activations, which the softmax and the loss consume.
+    ``x`` is a (batch, inputs) matrix, or (P, batch, inputs) for a stack
+    of P nets with (P, ...) weights and biases. Layer t's pre-activations
+    are its bias plus ``strengths[src] @ w`` summed over the blocks into t
+    in their sorted order. Hidden strengths are the logistic of their
+    pre-activations; the output layer stays pre-activations, which the
+    softmax and the loss consume. This is the one forward kernel:
+    evaluation, batched distributions and training all aggregate here.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, biases[0].ndim + 1) or x.shape[-1] != structure.layer_sizes[0]:
@@ -276,10 +249,82 @@ def forward_pass(
     strengths = [x]
     n_layers = len(structure.layer_sizes)
     for t in range(1, n_layers):
-        z = layer_preactivation(strengths, structure.blocks, weights, biases[t - 1], t)
+        bias, z = biases[t - 1], None
+        for (src, dst, _), w in zip(structure.blocks, weights):
+            if dst == t:  # add into the fresh product: p + bias is bias + p exactly
+                p = strengths[src] @ w
+                z = np.add(p, bias[..., None, :] if z is None else z, out=p)
+        if z is None:  # no incoming block: the base scores alone
+            z = np.empty(bias.shape[:-1] + x.shape[-2:-1] + bias.shape[-1:])
+            z[:] = bias[..., None, :]
         if t < n_layers - 1:
             strengths.append(expit(z, out=z))
     return strengths, z
+
+
+class MaskedNet:
+    """A graph's array form: a dense matrix with a binary mask per block,
+    absent edges zero, and per-layer biases (base-score log-odds).
+
+    Blocks are kept in sorted (source, target) order. Every LayeredGaf
+    holds one, built as it checks its arguments and edges; :meth:`from_gaf`
+    hands out an owned copy. Training builds its own with :meth:`initialize`
+    and stacks them with :meth:`stack`.
+    """
+
+    def __init__(
+        self,
+        structure: GafStructure,
+        weights: list[np.ndarray],
+        biases: list[np.ndarray],
+    ) -> None:
+        order = sorted(range(len(structure.blocks)), key=lambda i: structure.blocks[i][:2])
+        self.structure = GafStructure(
+            structure.layer_sizes, tuple(structure.blocks[i] for i in order)
+        )
+        self.weights = [
+            np.asarray(weights[i], dtype=np.float64) * structure.blocks[i][2] for i in order
+        ]
+        self.biases = [np.asarray(b, dtype=np.float64).copy() for b in biases]
+        sizes = structure.layer_sizes
+        if len(self.biases) != len(sizes) - 1 or any(
+            b.shape != (sizes[t + 1],) for t, b in enumerate(self.biases)
+        ):
+            raise InputShapeError("bias shapes do not match layer sizes")
+        self.masks = [m for _, _, m in self.structure.blocks]
+
+    @classmethod
+    def initialize(cls, structure: GafStructure, rng: np.random.Generator) -> "MaskedNet":
+        weights = [rng.uniform(-0.5, 0.5, size=m.shape) for _, _, m in structure.blocks]
+        biases = [np.zeros(s) for s in structure.layer_sizes[1:]]
+        return cls(structure, weights, biases)
+
+    @classmethod
+    def stack(cls, nets: Sequence["MaskedNet"]) -> "MaskedNet":
+        """The nets as one: (P, ...) weights, masks and biases. Its ``structure``
+        is the first net's, and serves only as the layout that all P share."""
+        if len({(n.structure.layer_sizes, *(b[:2] for b in n.structure.blocks)) for n in nets}) > 1:
+            raise InputShapeError("stacked nets must share layer sizes and block pairs")
+        stacked = copy.copy(nets[0])
+        for name in ("weights", "biases", "masks"):
+            setattr(stacked, name, [np.stack(a) for a in zip(*(getattr(n, name) for n in nets))])
+        return stacked
+
+    @classmethod
+    def from_gaf(cls, gaf: LayeredGaf) -> "MaskedNet":
+        """The graph's own net as a copy: writes to it leave the graph unchanged."""
+        net = gaf._net  # __init__ copies the weights and biases; copy the masks here
+        blocks = tuple((src, dst, m.copy()) for src, dst, m in net.structure.blocks)
+        return cls(GafStructure(net.structure.layer_sizes, blocks), net.weights, net.biases)
+
+    def forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Strengths of the input and hidden layers, and output pre-activations, for a batch."""
+        return forward_pass(self.structure, self.weights, self.biases, x)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The argmax class of each row of a batch of input strengths in [0, 1]."""
+        _, z = self.forward(check_strengths(x))
+        return np.argmax(z, axis=1)
 
 
 def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretation:
@@ -299,7 +344,7 @@ def evaluate(gaf: LayeredGaf, input_strengths: Sequence[float]) -> Interpretatio
     if x.shape != (n_in,):
         raise InputShapeError(f"expected {n_in} input strengths, got shape {x.shape}")
     inputs = check_strengths(x).tolist()
-    per_layer, z_out = forward_pass(*gaf._decomposition(), x[None, :])
+    per_layer, z_out = gaf._net.forward(x[None, :])
     distribution = softmax_rows(z_out)[0]
     values = [inputs, *(s[0].tolist() for s in per_layer[1:]), expit(z_out, out=z_out)[0].tolist()]
     strengths = {arg.id: v for layer, vs in zip(gaf.layers, values) for arg, v in zip(layer, vs)}
@@ -328,7 +373,7 @@ def check_strengths(x: np.ndarray) -> np.ndarray:
 def output_distributions(gaf: LayeredGaf, matrix: np.ndarray) -> np.ndarray:
     """Batched class distributions, one row per instance of input strengths
     in [0, 1]; other values raise InputShapeError (see check_strengths)."""
-    _, z_out = forward_pass(*gaf._decomposition(), check_strengths(matrix))
+    _, z_out = gaf._net.forward(check_strengths(matrix))
     return softmax_rows(z_out)
 
 
@@ -357,7 +402,7 @@ def prune_inert_edges(gaf: LayeredGaf) -> LayeredGaf:
     an equivalent, more readable classifier. Kept edges keep their order;
     a graph with nothing to prune is returned as is.
     """
-    live = live_units(gaf._decomposition()[0])
+    live = live_units(gaf._net.structure)
     alive = {
         arg.id for layer, flags in zip(gaf.layers, live) for arg, ok in zip(layer, flags) if ok
     }

@@ -7,7 +7,10 @@ bias), weights only where the structure has an edge. Optimization is Adam
 with early stopping on validation loss. A training reports that loss per
 epoch, and its train and validation accuracies once, under the parameters
 it keeps. Every kernel also runs on a stack of nets with a leading
-population axis, equal slice by slice to one net.
+population axis, equal slice by slice to one net. The net itself,
+:class:`graph.MaskedNet`, and its forward kernel live in graph.py; this
+module holds the learning: compaction, parameter slabs, gradients, Adam
+and :func:`train_population`.
 
 Training and its accuracy scores work on each net's live support only:
 the units with a path to an output (:func:`graph.live_units`). A dead
@@ -44,7 +47,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GafError, InputShapeError
-from .graph import GafStructure, LayeredGaf, build_gaf, check_strengths, forward_pass, live_units
+from .graph import (
+    GafStructure,
+    LayeredGaf,
+    MaskedNet,
+    build_gaf,
+    check_strengths,
+    forward_pass,
+    live_units,
+)
 from .util import check_field_types, class_indices, log_sum_exp, softmax_rows
 
 ADAM_BETA1 = 0.9
@@ -72,69 +83,6 @@ class TrainConfig:
             raise ConfigError(f"es_tolerance must be >= 0, got {self.es_tolerance}")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
-
-
-class MaskedNet:
-    """Dense matrices with a binary mask per block; absent edges stay zero."""
-
-    def __init__(
-        self,
-        structure: GafStructure,
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-    ) -> None:
-        order = sorted(range(len(structure.blocks)), key=lambda i: structure.blocks[i][:2])
-        self.structure = GafStructure(
-            structure.layer_sizes, tuple(structure.blocks[i] for i in order)
-        )
-        self.weights = [
-            np.asarray(weights[i], dtype=np.float64) * structure.blocks[i][2] for i in order
-        ]
-        self.biases = [np.asarray(b, dtype=np.float64).copy() for b in biases]
-        sizes = structure.layer_sizes
-        if len(self.biases) != len(sizes) - 1 or any(
-            b.shape != (sizes[t + 1],) for t, b in enumerate(self.biases)
-        ):
-            raise InputShapeError("bias shapes do not match layer sizes")
-        self.masks = [m for _, _, m in self.structure.blocks]
-
-    @classmethod
-    def initialize(cls, structure: GafStructure, rng: np.random.Generator) -> "MaskedNet":
-        weights = [rng.uniform(-0.5, 0.5, size=m.shape) for _, _, m in structure.blocks]
-        biases = [np.zeros(s) for s in structure.layer_sizes[1:]]
-        return cls(structure, weights, biases)
-
-    @classmethod
-    def stack(cls, nets: Sequence["MaskedNet"]) -> "MaskedNet":
-        """The nets as one: (P, ...) weights, masks and biases. Its ``structure``
-        is the first net's, and serves only as the layout that all P share."""
-        if len({(n.structure.layer_sizes, *(b[:2] for b in n.structure.blocks)) for n in nets}) > 1:
-            raise InputShapeError("stacked nets must share layer sizes and block pairs")
-        stacked = copy.copy(nets[0])
-        for name in ("weights", "biases", "masks"):
-            setattr(stacked, name, [np.stack(a) for a in zip(*(getattr(n, name) for n in nets))])
-        return stacked
-
-    @classmethod
-    def from_gaf(cls, gaf: LayeredGaf) -> "MaskedNet":
-        # __init__ copies the weights and biases; copy the graph's own masks here
-        structure, weights, biases = gaf._decomposition()
-        blocks = tuple((src, dst, m.copy()) for src, dst, m in structure.blocks)
-        return cls(GafStructure(structure.layer_sizes, blocks), weights, biases)
-
-    def forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Strengths of the input and hidden layers, and output pre-activations, for a batch."""
-        return forward_pass(self.structure, self.weights, self.biases, x)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Class distributions of a batch of input strengths in [0, 1]."""
-        _, z = self.forward(check_strengths(x))
-        return softmax_rows(z)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """The argmax class of each row of a batch of input strengths in [0, 1]."""
-        _, z = self.forward(check_strengths(x))
-        return np.argmax(z, axis=1)
 
 
 def _live_support(nets: Sequence[MaskedNet]) -> list[np.ndarray]:

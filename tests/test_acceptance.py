@@ -5,6 +5,7 @@ stated tolerances and time budgets. Run with `pytest tests/test_acceptance.py
 -v -s -rs` to see every line; skipped criteria state their reason.
 """
 
+import csv
 import json
 import math
 import time
@@ -17,6 +18,7 @@ from gaflearn.data import binarize, load_csv, load_schema, split_stratified
 from gaflearn.experiment import (
     load_experiment_config,
     run_baseline_experiment,
+    run_seed_for,
     run_training_experiment,
 )
 from gaflearn.ga import (
@@ -28,7 +30,7 @@ from gaflearn.ga import (
     k_point_crossover,
     evolve,
 )
-from gaflearn.graph import Argument, LayeredGaf, WeightedEdge, evaluate
+from gaflearn.graph import Argument, LayeredGaf, WeightedEdge, evaluate, output_distributions
 from gaflearn.model_io import from_json, to_json
 from gaflearn.train import MaskedNet, TrainConfig, forward_loss, gradients
 from gaflearn.util import derive_seed, softmax_rows
@@ -399,6 +401,30 @@ def test_iris_seed0_run0_parameters_match_the_pin(iris_experiment):
         IRIS_REFERENCE / "run_00" / "model.json",
         "run 0 parameters",
     )
+
+
+def test_iris_exported_models_reproduce_their_summary_rows(iris_experiment):
+    # every run's model.json, read back and scored on its own binarized test
+    # rows, gives the test accuracy and edge count that summary.csv reports
+    base = iris_experiment[3] / "gaf"
+    config = load_experiment_config(CONFIGS / "iris.json")
+    raw = load_csv(config.dataset_path, load_schema(config.schema_path))
+    labels = raw.label_indices()
+    with open(base / "summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))[: config.runs]  # the mean and std rows follow
+    assert [row["run"] for row in rows] == [str(r) for r in range(config.runs)]
+    for r, row in enumerate(rows):
+        split = split_stratified(
+            raw.n_instances, labels, seed=run_seed_for(config.seed, r), label_names=raw.label_values
+        )
+        binz = binarize(raw, config.bins_per_numeric, fit_indices=split.train)
+        test = np.asarray(split.test, dtype=np.int64)
+        x, y = binz.matrix[test], binz.labels[test]
+        gaf, _ = from_json((base / f"run_{r:02d}" / "model.json").read_text(encoding="utf-8"))
+        predictions = MaskedNet.from_gaf(gaf).predict(x)
+        assert f"{np.mean(predictions == y):.6f}" == row["test_accuracy"], f"run {r}"
+        assert str(len(gaf.edges)) == row["n_connections"], f"run {r}"
+        assert np.array_equal(predictions, np.argmax(output_distributions(gaf, x), axis=1))
 
 
 @pytest.mark.parametrize(

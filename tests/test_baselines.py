@@ -14,6 +14,7 @@ from gaflearn.baselines import (
 from gaflearn.errors import ConfigError, InputShapeError
 from gaflearn.graph import output_distributions
 from gaflearn.train import MaskedNet, TrainConfig
+from gaflearn.util import softmax_rows
 
 
 def test_perfect_predictions_score_ones():
@@ -311,4 +312,4 @@ def test_logistic_baseline_is_the_same_code_path_as_a_flat_graph():
     config = TrainConfig(learning_rate=0.1, max_epochs=30, es_patience=30, es_tolerance=0.0)
     gaf, _ = train_logistic(x, y, x, y, config, 0, [f"f{i}" for i in range(5)], ["a", "b", "c"])
     net = MaskedNet.from_gaf(gaf)
-    assert np.array_equal(net.predict_proba(x), output_distributions(gaf, x))
+    assert np.array_equal(softmax_rows(net.forward(x)[1]), output_distributions(gaf, x))

@@ -39,9 +39,9 @@ def test_chromosome_length_sums_adjacent_products():
 
 def test_decode_empty_full_and_diagonal():
     empty = decode(np.zeros(4, np.uint8), (2, 2))
-    assert empty.n_connections == 0
+    assert not any(m.any() for _, _, m in empty.blocks)
     full = decode(np.ones(4, np.uint8), (2, 2))
-    assert full.n_connections == 4
+    assert sum(int(m.sum()) for _, _, m in full.blocks) == 4
     diag = decode(bits("1001"), (2, 2))
     assert np.array_equal(diag.blocks[0][2], [[True, False], [False, True]])
 
@@ -667,7 +667,8 @@ def test_evolve_trains_each_live_row_once_and_keeps_only_live_rows(monkeypatch):
     assert any(not np.array_equal(ga.live_row(r, sizes), r) for r in initial)
     evaluated = config.population_size + (len(log) - 1) * (config.population_size - 2)
     assert len(trained) < evaluated
-    assert best.n_connections == int(best.bits.sum()) == best.result.net.structure.n_connections
+    masks = best.result.net.structure.blocks
+    assert best.n_connections == int(best.bits.sum()) == sum(int(m.sum()) for _, _, m in masks)
 
 
 def test_evolve_returns_the_earliest_top_ranked_individual_of_all_populations(monkeypatch):

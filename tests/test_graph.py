@@ -27,6 +27,7 @@ from gaflearn import (
 )
 from gaflearn.graph import live_units
 from gaflearn.model_io import from_json
+from gaflearn.util import softmax_rows
 
 
 def sigma(x):
@@ -179,7 +180,7 @@ def test_batch_distributions_match_single_evaluation():
         X = rng.uniform(size=(10, 5))
         dists = output_distributions(gaf, X)
         assert dists.shape == (10, 3)
-        assert np.array_equal(MaskedNet.from_gaf(gaf).predict_proba(X), dists)
+        assert np.array_equal(softmax_rows(MaskedNet.from_gaf(gaf).forward(X)[1]), dists)
         for row, x in zip(dists, X):
             interp = evaluate(gaf, x)
             # evaluate is the batched path on a one-row batch
@@ -196,9 +197,9 @@ def test_structure_counts_enabled_connections():
     mask01 = np.array([[True, False], [True, True]])
     mask12 = np.array([[False, True, True], [True, False, False]])
     s = GafStructure((2, 2, 3), ((0, 1, mask01), (1, 2, mask12)))
-    assert s.n_connections == 6
+    assert sum(int(m.sum()) for _, _, m in s.blocks) == 6
     full = GafStructure.fully_connected([4, 12, 3])
-    assert full.n_connections == 4 * 12 + 12 * 3
+    assert sum(int(m.sum()) for _, _, m in full.blocks) == 4 * 12 + 12 * 3
 
 
 def test_build_gaf_names_and_parameter_round_trip():
@@ -358,7 +359,7 @@ def test_batched_prediction_refuses_strengths_outside_0_1(value):
     x[2, 3] = value
     net = MaskedNet.from_gaf(gaf)
     message = r"input strengths must be finite values in \[0,1\]"
-    for predict in (lambda m: output_distributions(gaf, m), net.predict, net.predict_proba):
+    for predict in (lambda m: output_distributions(gaf, m), net.predict):
         with pytest.raises(InputShapeError, match=message):
             predict(x)
     with pytest.raises(InputShapeError, match=message):
@@ -460,7 +461,7 @@ def test_prune_keeps_exactly_the_edges_into_live_units(drawn):
         for arg in layer:
             if any(e.source == arg.id and e.target in reach for e in gaf.edges):
                 reach.add(arg.id)
-    live = live_units(gaf._decomposition()[0])
+    live = live_units(MaskedNet.from_gaf(gaf).structure)
     assert [[a.id in reach for a in layer] for layer in gaf.layers] == [f.tolist() for f in live]
 
     pruned = prune_inert_edges(gaf)

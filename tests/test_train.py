@@ -748,8 +748,8 @@ def test_classifier_assembly_matches_net_predictions():
         assert 1e-6 <= arg.base_score <= 1 - 1e-6
     # graph evaluation agrees with the net (up to the base-score round trip)
     assert np.allclose(
-        output_distributions(gaf, x), result.net.predict_proba(x), rtol=0, atol=1e-9
+        output_distributions(gaf, x), softmax_rows(result.net.forward(x)[1]), rtol=0, atol=1e-9
     )
     # and is bit-identical when the net is rebuilt from the graph itself
     rebuilt = MaskedNet.from_gaf(gaf)
-    assert np.array_equal(output_distributions(gaf, x), rebuilt.predict_proba(x))
+    assert np.array_equal(output_distributions(gaf, x), softmax_rows(rebuilt.forward(x)[1]))
