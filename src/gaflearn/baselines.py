@@ -137,25 +137,32 @@ class DecisionTree:
         return walk(self.root)
 
 
-def _best_split(x: np.ndarray, onehot: np.ndarray) -> int | None:
+def _best_split(
+    x: np.ndarray, rows: np.ndarray, classes: np.ndarray, counts: np.ndarray
+) -> int | None:
     """The column of lowest weighted Gini, the lowest one on a tie; None if
     every column is constant on these rows.
 
-    ``x`` holds a node's rows of 0/1 indicators and ``onehot`` their classes.
-    A column's 1-rows go right, so ``x.T @ onehot`` counts every column's
-    right-side classes at once, and the left side holds the rest.
+    ``x`` holds 0/1 indicators as uint8; ``rows`` are the node's rows,
+    ``classes`` their classes and ``counts`` the node's count of each class.
+    A column's 1-rows go right, so summing each class's rows counts every
+    column's right-side classes at once, and the left side holds the rest.
+    The counts are exact integers, so the Gini arithmetic on them as float64
+    is the same whatever order they were summed in.
     """
-    right = x.T @ onehot  # (columns, classes)
-    left = onehot.sum(axis=0) - right
+    right = np.empty((x.shape[1], len(counts)))  # (columns, classes)
+    for c in range(len(counts)):
+        right[:, c] = x[rows[classes == c]].sum(axis=0, dtype=np.int64)
+    left = counts - right
     n_right = right.sum(axis=1)
-    n_left = x.shape[0] - n_right
+    n_left = rows.shape[0] - n_right
     splits = (n_left > 0) & (n_right > 0)
     if not splits.any():
         return None
     with np.errstate(invalid="ignore"):  # 0/0 on an empty side, masked below
         gini_left = 1.0 - np.square(left / n_left[:, None]).sum(axis=1)
         gini_right = 1.0 - np.square(right / n_right[:, None]).sum(axis=1)
-    score = (n_left * gini_left + n_right * gini_right) / x.shape[0]
+    score = (n_left * gini_left + n_right * gini_right) / rows.shape[0]
     return int(np.where(splits, score, np.inf).argmin())
 
 
@@ -179,17 +186,18 @@ def train_tree(
     if max_depth is not None and max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     n_classes = int(y.max()) + 1
-    onehot = np.eye(n_classes)[y]
+    x = x.astype(np.uint8)  # the one copy the tree is grown on
 
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        counts = np.bincount(y[rows], minlength=n_classes)
+        classes = y[rows]
+        counts = np.bincount(classes, minlength=n_classes)
         node = TreeNode(label=int(counts.argmax()))
         pure = counts.max() == rows.shape[0]
         if pure or (max_depth is not None and depth >= max_depth):
             return node
         # zero-gain splits are allowed (they can enable useful splits deeper
         # down, e.g. parity-style labels); children always strictly shrink
-        feature = _best_split(x[rows], onehot[rows])
+        feature = _best_split(x, rows, classes, counts)
         if feature is None:
             return node
         ones = x[rows, feature] == 1

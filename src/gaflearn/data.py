@@ -10,9 +10,9 @@ graph.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,122 +153,307 @@ class RawDataset:
         return np.fromiter(map(index.__getitem__, self.labels), np.int64, self.n_instances)
 
 
-def _utf8_lines(fh, path: str | Path):
-    """The lines of a text file opened as UTF-8; ParseError naming the file
-    if it is not UTF-8 (it is decoded in chunks, so no line is named)."""
+_BOM = b"\xef\xbb\xbf"
+_PAD = 8  # zero bytes after the data, so an 8-byte word can be read at any data byte
+_WORD_KEY_BYTES = 64  # fields shorter than this are grouped by 8-byte words, longer by a dict
+# _LOW[k] keeps the first k bytes of a little-endian 8-byte word
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)  # odd: 2**64 over the golden ratio
+
+
+def _read_padded(path: str | Path) -> tuple[bytearray, int]:
+    """The file's bytes followed by ``_PAD`` zero bytes, and the file's length."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(size + _PAD)
+        n = fh.readinto(memoryview(buf)[:size])
+        rest = fh.read()  # a file that grew after its size was read
+    if rest:
+        buf = buf[:n] + rest + bytes(_PAD)
+        n += len(rest)
+    return buf, n
+
+
+def _records(buf: bytearray, start: int, n: int):
+    """Comma positions, each record's [start, end) bytes, and whether the
+    data holds a quote.
+
+    LF, CR and CR LF end a record. A comma or line end after an odd number
+    of quotes lies inside a quoted field and separates nothing.
+    """
+    a = np.frombuffer(buf, np.uint8)
+    pos = np.int32 if len(buf) < 2**31 else np.int64
+    commas, quotes, lf, cr = (
+        np.flatnonzero(a[:n] == byte).astype(pos, copy=False) for byte in b',"\n\r'
+    )
+    if quotes.size:
+        commas, lf, cr = (p[np.searchsorted(quotes, p) % 2 == 0] for p in (commas, lf, cr))
+    ends = np.sort(np.concatenate([cr, lf[a[lf - 1] != 13]])) if cr.size else lf
+    starts = ends + 1 + ((a[ends] == 13) & (a[ends + 1] == 10))  # the records after them
+    starts = np.concatenate([np.array([start], pos), starts])
+    ends = np.concatenate([ends, np.array([n], pos)])
+    if starts[-1] == n:  # the data ends with a line end
+        starts, ends = starts[:-1], ends[:-1]
+    return commas, starts, ends, bool(quotes.size)
+
+
+def _fields(buf: bytearray, commas: np.ndarray, start: int, end: int) -> list[str]:
+    """One record's fields as they stand in the file; none for an empty record."""
+    if start == end:
+        return []
+    lo, hi = np.searchsorted(commas, [start, end])
+    cuts = [start - 1, *commas[lo:hi].tolist(), end]
+    return [buf[i + 1 : j].decode() for i, j in zip(cuts, cuts[1:])]
+
+
+def _unquote(field: str) -> str | None:
+    """A field's value: the field itself if it holds no quote, the text
+    between the quotes of a canonically quoted one ("…", with inner quotes
+    doubled), None for any other."""
+    if '"' not in field:
+        return field
+    inner = field[1:-1]
+    if len(field) > 1 and field[0] == field[-1] == '"' and '"' not in inner.replace('""', ""):
+        return inner.replace('""', '"')
+    return None
+
+
+def _quoting_error(path, line: int, where: str, field: str) -> ParseError:
+    shown = field if len(field) <= 40 else field[:40] + "..."
+    return ParseError(
+        f"{path}: line {line}: {where}: {shown!r} holds a quote but is not "
+        'quoted as "..." with inner quotes doubled'
+    )
+
+
+def _group(buf: bytearray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Fields grouped by their bytes: the index of a field of each group, and
+    each field's group.
+
+    A field's key is its bytes read as 8-byte words, with the bytes past its
+    end masked off and its length in the top byte of the last word, so that
+    fields differing only in trailing NUL bytes stay apart. Fields are
+    sorted by a hash of their words; a group whose words differ (a hash
+    collision) sends the column to the dict used for long fields.
+    """
+    lengths = ends - starts
+    n_words = int(lengths.max(initial=0)) // 8 + 1
+    if 8 * n_words > _WORD_KEY_BYTES:
+        return _group_by_dict(buf, starts, ends)
+    keys = np.empty((n_words, len(starts)), np.uint64)
+    last = len(words) - 1
+    for k, key in enumerate(keys):
+        word = words[np.minimum(starts + 8 * k, last)]
+        np.bitwise_and(word, _LOW[np.clip(lengths - 8 * k, 0, 8)], out=key)
+    keys[-1] |= lengths.astype(np.uint64) << np.uint64(56)
+    hashed = keys[0]
+    for key in keys[1:]:
+        hashed = hashed * _HASH_FACTOR + key  # wraps modulo 2**64
+    order = np.argsort(hashed)
+    new = np.ones(len(order), bool)
+    ordered = hashed[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(order), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    if n_words > 1 and (keys[:, first[inverse]] != keys).any():
+        return _group_by_dict(buf, starts, ends)
+    return first, inverse
+
+
+def _group_by_dict(buf: bytearray, starts: np.ndarray, ends: np.ndarray):
+    """``_group`` with one dict step per field."""
+    seen: dict[bytes, int] = {}
+    keys = (bytes(buf[i:j]) for i, j in zip(starts.tolist(), ends.tolist()))
+    inverse = np.fromiter((seen.setdefault(key, len(seen)) for key in keys), np.intp, len(starts))
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
+def _floats(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each value (NaN where it raises), and where it did not."""
+    numbers = np.full(len(values), np.nan)
+    numeric = np.ones(len(values), bool)
     try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        numbers[:] = np.fromiter(map(float, values), np.float64, len(values))
+    except ValueError:
+        for i, value in enumerate(values):
+            try:
+                numbers[i] = float(value)
+            except ValueError:
+                numeric[i] = False
+    return numbers, numeric
+
+
+def _levels(values: list[str], inverse: np.ndarray, kept: np.ndarray):
+    """The sorted distinct values of the kept rows, and each value's index
+    among them (-1 for a value no kept row holds)."""
+    here = np.zeros(len(values), bool)
+    here[inverse[kept]] = True
+    levels = tuple(sorted({v for v, h in zip(values, here.tolist()) if h}))
+    rank = {level: i for i, level in enumerate(levels)}
+    return levels, np.array([rank.get(v, -1) for v in values], dtype=np.intp)
+
+
+def _first(bad: np.ndarray, inverse: np.ndarray, rows: np.ndarray | None = None) -> int | None:
+    """The first row (among ``rows``, a mask) whose value is ``bad``."""
+    if not bad.any():
+        return None
+    hits = bad[inverse] if rows is None else bad[inverse] & rows
+    return int(np.argmax(hits)) if hits.any() else None
 
 
 def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
     """Parse a CSV under the schema; drops and counts rows with the missing marker.
 
-    Field values are stripped of surrounding whitespace. A leading UTF-8
-    byte-order mark, as spreadsheet programs write, is skipped. Parse failures
-    name the offending line (1-based, header is line 1) and column.
+    The dialect: fields separated by commas, records ended by LF, CR LF or
+    CR, no limit on a field's size. A field that holds a ``"`` must be
+    quoted as ``"..."`` with inner quotes doubled, and may then hold commas
+    and line ends; any other quoting fails. Field values are stripped of
+    surrounding whitespace. A leading UTF-8 byte-order mark, as spreadsheet
+    programs write, is skipped. Parse failures name the offending line
+    (1-based, counting records, so a quoted line break does not start a
+    line; the header is line 1) and column. The first defect in file order
+    is reported, and within a row: its quoting, its field count, its cells
+    in header order, then its label.
+
+    The file is read once into a buffer and split in whole-buffer numpy
+    passes. Each column's fields are grouped by their bytes, and decoding,
+    stripping, the missing marker and the checks run once per distinct
+    value, not once per cell.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header")
-        declared = {s.name for s in schema.columns} | {schema.label}
-        if set(header) != declared:
-            missing_cols = sorted(declared - set(header))
-            extra = sorted(set(header) - declared)
-            raise SchemaError(
-                f"{path}: header mismatch (missing {missing_cols}, undeclared {extra})"
-            )
-        label_pos = header.index(schema.label)
-        feature_names = tuple(h for h in header if h != schema.label)
-        specs = tuple(schema.column(name) for name in feature_names)
-        positions = [header.index(name) for name in feature_names]
+    buf, n = _read_padded(path)
+    start = len(_BOM) if buf.startswith(_BOM) else 0
+    try:
+        str(memoryview(buf)[start:n], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if start == n:
+        raise ParseError(f"{path}: empty file")
+    commas, starts, ends, quoted = _records(buf, start, n)
 
-        # each kept row's values go straight into per-column lists; a
-        # categorical column's values are coded by first sight in `seen`
-        values: list[list] = [[] for _ in specs]
-        seen: list[dict[str, int]] = [{} for _ in specs]
-        labels: list[str] = []
-        n_dropped = 0
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(record)}"
-                )
-            fields = [f.strip() for f in record]
-            if schema.missing is not None and schema.missing in fields:
-                n_dropped += 1
-                continue
-            for spec, pos, column, codes in zip(specs, positions, values, seen):
-                value = fields[pos]
-                if spec.kind == "numeric":
-                    try:
-                        number = float(value)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: line {line_no}: column {spec.name!r}: "
-                            f"{value!r} is not numeric"
-                        ) from None
-                    if not math.isfinite(number):
-                        raise ParseError(
-                            f"{path}: line {line_no}: column {spec.name!r}: "
-                            f"{value!r} is not a finite number"
-                        )
-                    column.append(number)
-                elif spec.kind == "binary":
-                    if value not in ("0", "1"):
-                        raise ParseError(
-                            f"{path}: line {line_no}: column {spec.name!r}: "
-                            f"binary value must be 0 or 1, got {value!r}"
-                        )
-                    column.append(value == "1")
-                else:
-                    column.append(codes.setdefault(value, len(codes)))
-            label = fields[label_pos]
-            if schema.label_values is not None and label not in schema.label_values:
-                raise SchemaError(
-                    f"{path}: line {line_no}: label {label!r} not in declared label values"
-                )
-            labels.append(label)
+    header = []
+    for j, field in enumerate(_fields(buf, commas, starts[0], ends[0])):
+        value = _unquote(field)
+        if value is None:
+            raise _quoting_error(path, 1, f"field {j + 1}", field)
+        header.append(value.strip())
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header")
+    declared = {s.name for s in schema.columns} | {schema.label}
+    if set(header) != declared:
+        missing_cols = sorted(declared - set(header))
+        extra = sorted(set(header) - declared)
+        raise SchemaError(f"{path}: header mismatch (missing {missing_cols}, undeclared {extra})")
+    feature_names = tuple(h for h in header if h != schema.label)
+    specs = tuple(schema.column(name) for name in feature_names)
+    n_fields = len(header)
 
-    if not labels:
-        raise ParseError(f"{path}: no data rows after cleaning")
-    if schema.label_values is not None:
-        label_values = schema.label_values
-    else:
-        label_values = tuple(sorted(set(labels)))
-    if len(set(labels)) < 2:
-        raise SchemaError(f"{path}: label column has fewer than 2 distinct values")
+    # Data records: the rows run up to the first non-empty record with the
+    # wrong field count, whose own defect counts only if no row has one.
+    starts, ends = starts[1:], ends[1:]
+    first_comma = np.searchsorted(commas, starts)
+    ragged = np.flatnonzero(
+        (np.searchsorted(commas, ends) - first_comma + 1 != n_fields) & (starts != ends)
+    )
+    stop = int(ragged[0]) if ragged.size else len(starts)
+    rows = np.flatnonzero(starts[:stop] != ends[:stop])  # each row's record
+    inner = commas[n_fields - 1 : first_comma[stop] if ragged.size else len(commas)]
+    inner = inner.reshape(-1, n_fields - 1)  # each row's commas
+
+    words = np.ndarray((n + 1,), "<u8", buf, strides=(1,))  # the word at every byte
+    defects = []  # ((row, rank, position), error): the least key is raised
+    cells = []  # per header position: its distinct values and each row's value
+    dropped = np.zeros(len(rows), bool)
+    for p, name in enumerate(header):
+        field_starts = starts[rows] if p == 0 else inner[:, p - 1] + 1
+        field_ends = ends[rows] if p == n_fields - 1 else inner[:, p]
+        first, inverse = _group(buf, words, field_starts, field_ends)
+        fields = [
+            buf[i:j].decode()
+            for i, j in zip(field_starts[first].tolist(), field_ends[first].tolist())
+        ]
+        if quoted:
+            values = [_unquote(f) for f in fields]
+            row = _first(np.array([v is None for v in values], dtype=bool), inverse)
+            if row is not None:
+                error = _quoting_error(
+                    path, rows[row] + 2, f"column {name!r}", fields[inverse[row]]
+                )
+                defects.append(((row, 0, p), error))
+            fields = [f if v is None else v for f, v in zip(fields, values)]
+        values = [f.strip() for f in fields]
+        if schema.missing is not None:
+            dropped |= np.array([v == schema.missing for v in values], dtype=bool)[inverse]
+        cells.append((values, inverse))
+
+    kept = ~dropped
     columns, levels = [], []
-    for spec, column, codes in zip(specs, values, seen):
+    for spec in specs:
+        p = header.index(spec.name)
+        values, inverse = cells[p]
+        codes = inverse[kept]
         if spec.kind == "numeric":
-            columns.append(np.array(column, dtype=np.float64))
+            numbers, numeric = _floats(values)
+            row = _first(~np.isfinite(numbers), inverse, kept)
+            if row is not None:
+                value = values[inverse[row]]
+                problem = "is not a finite number" if numeric[inverse[row]] else "is not numeric"
+                error = ParseError(
+                    f"{path}: line {rows[row] + 2}: column {spec.name!r}: {value!r} {problem}"
+                )
+                defects.append(((row, 2, p), error))
+            columns.append(numbers[codes])
             levels.append(())
         elif spec.kind == "binary":
-            columns.append(np.array(column, dtype=np.uint8))
+            ones = np.array([v == "1" for v in values], dtype=bool)
+            row = _first(~ones & np.array([v != "0" for v in values], dtype=bool), inverse, kept)
+            if row is not None:
+                error = ParseError(
+                    f"{path}: line {rows[row] + 2}: column {spec.name!r}: "
+                    f"binary value must be 0 or 1, got {values[inverse[row]]!r}"
+                )
+                defects.append(((row, 2, p), error))
+            columns.append(ones[codes].view(np.uint8))
             levels.append(())
-        else:  # recode from order of first sight to sorted order
-            levels.append(tuple(sorted(codes)))
-            rank = {level: i for i, level in enumerate(levels[-1])}
-            sorted_code = np.array([rank[level] for level in codes], dtype=np.intp)
-            columns.append(sorted_code[np.array(column, dtype=np.intp)])
+        else:
+            column_levels, rank = _levels(values, inverse, kept)
+            columns.append(rank[codes])
+            levels.append(column_levels)
+    values, inverse = cells[header.index(schema.label)]
+    if schema.label_values is not None:
+        undeclared = np.array([v not in schema.label_values for v in values], dtype=bool)
+        row = _first(undeclared, inverse, kept)
+        if row is not None:
+            error = SchemaError(
+                f"{path}: line {rows[row] + 2}: label {values[inverse[row]]!r} "
+                "not in declared label values"
+            )
+            defects.append(((row, 3, 0), error))
+
+    if defects:
+        raise min(defects, key=lambda defect: defect[0])[1]
+    if ragged.size:
+        line = stop + 2
+        fields = _fields(buf, commas, starts[stop], ends[stop])
+        for j, field in enumerate(fields):
+            if _unquote(field) is None:
+                where = f"column {header[j]!r}" if j < n_fields else f"field {j + 1}"
+                raise _quoting_error(path, line, where, field)
+        raise ParseError(f"{path}: line {line}: expected {n_fields} fields, got {len(fields)}")
+    if not kept.any():
+        raise ParseError(f"{path}: no data rows after cleaning")
+    present, _ = _levels(values, inverse, kept)
+    if len(present) < 2:
+        raise SchemaError(f"{path}: label column has fewer than 2 distinct values")
     return RawDataset(
         feature_names=feature_names,
         specs=specs,
         columns=tuple(columns),
         levels=tuple(levels),
-        labels=tuple(labels),
+        labels=tuple(map(values.__getitem__, inverse[kept].tolist())),
         label_name=schema.label,
-        label_values=label_values,
-        n_dropped=n_dropped,
+        label_values=schema.label_values or present,
+        n_dropped=int(dropped.sum()),
     )
 
 

@@ -1,5 +1,6 @@
 """Loading, binarization, and split behaviour on small hand-checked tables."""
 
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from gaflearn.data import (
     split_stratified,
 )
 from gaflearn.errors import ParseError, SchemaError, StratificationError
+
+from csv_rowloop import load_csv_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -387,6 +390,159 @@ def test_load_csv_rejects_single_class(tmp_path):
     path.write_text("x,y\n1,a\n2,a\n")
     with pytest.raises(SchemaError, match="2 distinct"):
         load_csv(path, NUM_SCHEMA)
+
+
+def assert_same_raw(got, want):
+    for field in fields(RawDataset):  # == on the array fields would raise
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "columns":
+            assert len(a) == len(b) and all(
+                x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b)
+            )
+        else:
+            assert a == b, field.name
+
+
+def test_load_csv_reads_an_over_long_field(tmp_path):
+    path = tmp_path / "long.csv"
+    digits = "1" * 200_000  # beyond csv.field_size_limit(); reads as inf
+    path.write_text(f"x,y\n1,a\n{digits},b\n")
+    with pytest.raises(ParseError, match=r"line 3: column 'x': '1+' is not a finite number"):
+        load_csv(path, NUM_SCHEMA)
+    schema = make_schema({"c": {"kind": "categorical"}})
+    path.write_text(f"c,y\n{'x' * 70},a\n{'x' * 69},b\n{'x' * 70},a\n")  # keyed by a dict
+    raw = load_csv(path, schema)
+    assert raw.levels == (("x" * 69, "x" * 70),)
+    assert raw.columns[0].tolist() == [1, 0, 1]
+
+
+def test_load_csv_keeps_fields_whose_word_hashes_collide_apart(tmp_path):
+    # 15-byte fields, each read as two 8-byte words; data._group's hash of
+    # the words is equal for these two, so only the check of each group's
+    # words can tell them apart
+    a, b = "`u>5(mu*M[rt3s6", "y93xsWc7@)(Q~wL"
+    schema = make_schema({"c": {"kind": "categorical"}})
+    path = tmp_path / "c.csv"
+    path.write_text(f"c,y\n{a},p\n{b},q\n{a},q\n")
+    raw = load_csv(path, schema)
+    assert raw.levels == ((a, b),)
+    assert raw.columns[0].tolist() == [0, 1, 0]
+
+
+def test_load_csv_reads_canonical_quoting_as_csv_reader_does(tmp_path):
+    schema = make_schema({"c": {"kind": "categorical"}, "x": {"kind": "numeric"}})
+    path = tmp_path / "q.csv"
+    path.write_bytes(b'"c",x,y\n"a,b",1,p\r\n"a""b","2",q\n"two\r\nlines","3",""\n')
+    raw = load_csv(path, schema)
+    assert raw.levels[0] == ('a"b', "a,b", "two\r\nlines")
+    assert column_values(raw, "c") == ["a,b", 'a"b', "two\r\nlines"]
+    assert raw.columns[1].tolist() == [1.0, 2.0, 3.0]
+    assert raw.labels == ("p", "q", "")
+    assert_same_raw(raw, load_csv_rows(path, schema))
+
+
+@pytest.mark.parametrize(
+    "body, line, column",
+    [
+        ('1,a\nab"c,b\n', 3, "'x'"),
+        ('1,a\n"x"y,b\n', 3, "'x'"),
+        ('1,a\n2, "b"\n', 3, "'y'"),
+        ('1,"a\n2,b\n', 2, "'y'"),  # a quote left open to the end of the file
+        ('1,a\n"2,b\n3,a\n', 3, "'x'"),
+        ('1,a\n?,b"\n', 3, "'y'"),  # a row with the missing marker too
+    ],
+)
+def test_load_csv_refuses_other_quoting(tmp_path, body, line, column):
+    schema = make_schema({"x": {"kind": "numeric"}}, missing="?")
+    path = tmp_path / "q.csv"
+    path.write_text("x,y\n" + body)
+    with pytest.raises(ParseError, match=rf"line {line}: column {column}: .* holds a quote"):
+        load_csv(path, schema)
+
+
+def test_load_csv_refuses_other_quoting_in_the_header(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text('x,y"\n1,a\n')
+    with pytest.raises(ParseError, match="line 1: field 2: .* holds a quote"):
+        load_csv(path, NUM_SCHEMA)
+
+
+# Cells the differential test draws from: whitespace of several kinds,
+# multi-byte UTF-8, separators and quotes (which force quoting), the
+# missing marker, and NUL where csv.reader accepts it (Python 3.11+).
+CELL_CHARS = list('ab é€😀,"?\n\r \t\x1c\x85\xa0\u2028\u3000') + (
+    ["\x00"] if sys.version_info >= (3, 11) else []
+)
+CELLS = st.text(st.sampled_from(CELL_CHARS), max_size=4)
+GOOD_CELLS = {
+    "numeric": st.sampled_from(["1", "-2.5", "1e3", " 4 ", " 7\t", "1_0", "٣"]),
+    "binary": st.sampled_from(["0", "1", " 1 "]),
+    "categorical": CELLS,
+    "label": st.sampled_from(["a", "b", " a ", "é"]),
+}
+ANY_CELL = st.sampled_from(["nan", "-inf", "", "?", "2", "c"]) | CELLS
+
+
+@st.composite
+def csv_files(draw):
+    """A schema and the bytes of a small CSV file for it."""
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+    schema = make_schema(
+        {f"f{j}": {"kind": kind} for j, kind in enumerate(kinds)},
+        label_values=draw(st.none() | st.just(["a", "b", "é"])),
+        missing=draw(st.none() | st.just("?")),
+    )
+    header = draw(st.permutations([f"f{j}" for j in range(len(kinds))] + ["y"]))
+    kind_of = {f"f{j}": kind for j, kind in enumerate(kinds)} | {"y": "label"}
+
+    def rare():
+        return draw(st.integers(0, 12)) == 7
+
+    def encode(value):
+        if any(c in value for c in ',"\r\n') or rare():
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = [",".join(encode(name) for name in header)]
+    for _ in range(draw(st.integers(1, 8))):
+        if rare():
+            lines.append("")
+            continue
+        row = [encode(draw(ANY_CELL if rare() else GOOD_CELLS[kind_of[name]])) for name in header]
+        if rare():
+            row = row[:-1] if draw(st.booleans()) else row + ["z"]
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last record
+    data = text.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if rare():
+        data = data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :]
+    return schema, data
+
+
+def outcome(load, path, schema):
+    try:
+        return load(path, schema)
+    except (ParseError, SchemaError) as exc:
+        return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(csv_files())
+def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, table):
+    schema, data = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(data)
+    got, want = outcome(load_csv, path, schema), outcome(load_csv_rows, path, schema)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert isinstance(got, RawDataset), got
+        assert_same_raw(got, want)
 
 
 # -- schema ------------------------------------------------------------
