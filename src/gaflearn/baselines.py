@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputShapeError
-from .graph import GafStructure, LayeredGaf, check_strengths
+from .graph import GafStructure, LayeredGaf, check_indicators, check_strengths
 from .train import TrainConfig, TrainResult, to_classifier, train
 from .util import class_indices
 
@@ -181,8 +181,7 @@ def train_tree(
     y = class_indices(y_train, x.shape[0])
     if x.shape[0] == 0:
         raise ConfigError("training split is empty")
-    if not ((x == 0) | (x == 1)).all():
-        raise InputShapeError("tree inputs must be 0/1 indicators")
+    check_indicators(x)
     if max_depth is not None and max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     n_classes = int(y.max()) + 1

@@ -218,10 +218,14 @@ def _unquote(field: str) -> str | None:
     return None
 
 
+def _shown(text: str) -> str:
+    """A cell's repr for an error message, cut after 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
 def _quoting_error(path, line: int, where: str, field: str) -> ParseError:
-    shown = field if len(field) <= 40 else field[:40] + "..."
     return ParseError(
-        f"{path}: line {line}: {where}: {shown!r} holds a quote but is not "
+        f"{path}: line {line}: {where}: {_shown(field)} holds a quote but is not "
         'quoted as "..." with inner quotes doubled'
     )
 
@@ -399,7 +403,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
                 value = values[inverse[row]]
                 problem = "is not a finite number" if numeric[inverse[row]] else "is not numeric"
                 error = ParseError(
-                    f"{path}: line {rows[row] + 2}: column {spec.name!r}: {value!r} {problem}"
+                    f"{path}: line {rows[row] + 2}: column {spec.name!r}: {_shown(value)} {problem}"
                 )
                 defects.append(((row, 2, p), error))
             columns.append(numbers[codes])
@@ -410,7 +414,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
             if row is not None:
                 error = ParseError(
                     f"{path}: line {rows[row] + 2}: column {spec.name!r}: "
-                    f"binary value must be 0 or 1, got {values[inverse[row]]!r}"
+                    f"binary value must be 0 or 1, got {_shown(values[inverse[row]])}"
                 )
                 defects.append(((row, 2, p), error))
             columns.append(ones[codes].view(np.uint8))
@@ -425,7 +429,7 @@ def load_csv(path: str | Path, schema: DatasetSchema) -> RawDataset:
         row = _first(undeclared, inverse, kept)
         if row is not None:
             error = SchemaError(
-                f"{path}: line {rows[row] + 2}: label {values[inverse[row]]!r} "
+                f"{path}: line {rows[row] + 2}: label {_shown(values[inverse[row]])} "
                 "not in declared label values"
             )
             defects.append(((row, 3, 0), error))

@@ -370,6 +370,14 @@ def check_strengths(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def check_indicators(x: np.ndarray) -> None:
+    """InputShapeError unless every entry of x is 0 or 1, as trainers take
+    them. NaN and values outside [0, 1] get check_strengths's message."""
+    if not ((x == 0) | (x == 1)).all():
+        check_strengths(x)
+        raise InputShapeError("training inputs must be 0/1 indicators")
+
+
 def output_distributions(gaf: LayeredGaf, matrix: np.ndarray) -> np.ndarray:
     """Batched class distributions, one row per instance of input strengths
     in [0, 1]; other values raise InputShapeError (see check_strengths)."""

@@ -52,7 +52,7 @@ from .graph import (
     LayeredGaf,
     MaskedNet,
     build_gaf,
-    check_strengths,
+    check_indicators,
     forward_pass,
     live_units,
 )
@@ -178,10 +178,10 @@ def _bind(
 
 def _check_split(layer_sizes: Sequence[int], x: np.ndarray, y) -> np.ndarray:
     """y as x's class indices (see :func:`util.class_indices`); raise
-    InputShapeError unless x is an (n, inputs) matrix of 0/1 indicators and
-    y a vector of n classes, both as ``layer_sizes`` has them. Strengths
-    outside [0, 1] are refused first, with evaluate's message.
-    x must have rows: the caller refuses an empty split first.
+    InputShapeError unless x is an (n, inputs) matrix of 0/1 indicators
+    (see :func:`graph.check_indicators`) and y a vector of n classes, both
+    as ``layer_sizes`` has them. x must have rows: the caller refuses an
+    empty split first.
 
     Compact kernels read only the live input columns, and the training loop
     indexes rows and labels without checking them, so a mismatch must be
@@ -190,9 +190,7 @@ def _check_split(layer_sizes: Sequence[int], x: np.ndarray, y) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != layer_sizes[0]:
         raise InputShapeError(f"expected (n, {layer_sizes[0]}) inputs, got shape {x.shape}")
     # minibatches read a uint8 copy, which would truncate a fraction silently
-    if not ((x == 0) | (x == 1)).all():
-        check_strengths(x)  # NaN and values outside [0, 1] get evaluate's message
-        raise InputShapeError("training inputs must be 0/1 indicators")
+    check_indicators(x)
     return class_indices(y, x.shape[0], layer_sizes[-1])
 
 
@@ -206,26 +204,10 @@ def _pick(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.take(z, starts + y)
 
 
-def _labels(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y as an int array, checked to hold a class of z per row of z's batch,
-    shared by a stack's nets or one row per net (see util.class_indices)."""
-    y = np.asarray(y)
-    if y.shape not in (z.shape[-2:-1], z.shape[:-1]):
-        raise InputShapeError("labels must be class indices matching the batch")
-    return class_indices(y.reshape(-1), None, z.shape[-1]).reshape(y.shape)
-
-
-def _cross_entropy(z: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """Mean cross-entropy of output pre-activations: a float, or one per stacked
-    net. ``y`` is an int array of classes as :func:`_labels` checks them."""
-    loss = np.mean(log_sum_exp(z) - _pick(z, y), axis=-1)
-    return float(loss) if loss.ndim == 0 else loss
-
-
-def forward_loss(net: MaskedNet, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and per-instance class distributions."""
-    _, z = net.forward(x)
-    return _cross_entropy(z, _labels(z, y)), softmax_rows(z)
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of output pre-activations, one per stacked net.
+    ``y`` holds a class per row, as :func:`_pick` reads it, unchecked."""
+    return np.mean(log_sum_exp(z) - _pick(z, y), axis=-1)
 
 
 def gradients(
@@ -247,7 +229,11 @@ def gradients(
     """
     activations, z = net.forward(x)
     if out is None:
-        y = _labels(z, y)
+        # a class of z per row of z's batch, shared by a stack's nets or one row per net
+        y = np.asarray(y)
+        if y.shape not in (z.shape[-2:-1], z.shape[:-1]):
+            raise InputShapeError("labels must be class indices matching the batch")
+        y = class_indices(y.reshape(-1), None, z.shape[-1]).reshape(y.shape)
         out = [np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]
     dz = softmax_rows(z)
     dz -= np.asarray(y)[..., None] == np.arange(z.shape[-1])  # one-hot labels

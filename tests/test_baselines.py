@@ -135,9 +135,17 @@ def test_impure_node_with_only_constant_columns_stays_a_majority_leaf():
 
 
 def test_non_indicator_matrix_raises_input_shape_error():
-    for value in (2.0, 0.5, -1.0, np.nan):
+    # the trainer's messages: a fraction is not an indicator, and the rest
+    # are not strengths at all
+    strengths = r"input strengths must be finite values in \[0,1\]"
+    for value, message in (
+        (2.0, strengths),
+        (0.5, "training inputs must be 0/1 indicators"),
+        (-1.0, strengths),
+        (np.nan, strengths),
+    ):
         x = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, value]])
-        with pytest.raises(InputShapeError, match="0/1"):
+        with pytest.raises(InputShapeError, match=message):
             train_tree(x, np.array([0, 1, 1]))
 
 

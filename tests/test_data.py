@@ -407,13 +407,37 @@ def test_load_csv_reads_an_over_long_field(tmp_path):
     path = tmp_path / "long.csv"
     digits = "1" * 200_000  # beyond csv.field_size_limit(); reads as inf
     path.write_text(f"x,y\n1,a\n{digits},b\n")
-    with pytest.raises(ParseError, match=r"line 3: column 'x': '1+' is not a finite number"):
+    with pytest.raises(ParseError, match=r"line 3: column 'x': '1+\.\.\.' is not a finite number"):
         load_csv(path, NUM_SCHEMA)
     schema = make_schema({"c": {"kind": "categorical"}})
     path.write_text(f"c,y\n{'x' * 70},a\n{'x' * 69},b\n{'x' * 70},a\n")  # keyed by a dict
     raw = load_csv(path, schema)
     assert raw.levels == (("x" * 69, "x" * 70),)
     assert raw.columns[0].tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "schema, text, where",
+    [
+        (NUM_SCHEMA, "x,y\n1,a\n{cell},b\n", "line 3: column 'x': "),
+        (make_schema({"f": {"kind": "binary"}}), "f,y\n0,a\n{cell},b\n", "line 3: column 'f': "),
+        (
+            make_schema({"x": {"kind": "numeric"}}, label_values=["a", "b"]),
+            "x,y\n1,a\n2,{cell}\n",
+            "line 3: label ",
+        ),
+    ],
+    ids=["numeric", "binary", "label"],
+)
+def test_load_csv_cuts_a_long_cell_in_its_message(tmp_path, schema, text, where):
+    path = tmp_path / "long.csv"
+    path.write_text(text.format(cell="7" * 200_000))
+    with pytest.raises((ParseError, SchemaError)) as info:
+        load_csv(path, schema)
+    message = str(info.value)
+    assert message.startswith(f"{path}: {where}")
+    assert "'" + "7" * 40 + "...'" in message
+    assert len(message) - len(str(path)) < 200  # the path is wherever pytest put it
 
 
 def test_load_csv_keeps_fields_whose_word_hashes_collide_apart(tmp_path):

@@ -13,9 +13,9 @@ from gaflearn.train import (
     TrainConfig,
     _pick,
     _slab,
+    _cross_entropy,
     _views,
     adam_step,
-    forward_loss,
     gradients,
     to_classifier,
     train,
@@ -34,15 +34,16 @@ def zero_net(layer_sizes):
 def test_uniform_prediction_loss_is_log_n_classes():
     net = zero_net([2, 3])
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss, probs = forward_loss(net, x, np.array([0, 2]))
+    _, z = net.forward(x)
+    loss = _cross_entropy(z, np.array([0, 2]))
     assert abs(loss - math.log(3)) < 1e-12
-    assert np.allclose(probs, 1 / 3, rtol=0, atol=1e-12)
+    assert np.allclose(softmax_rows(z), 1 / 3, rtol=0, atol=1e-12)
 
 
 def test_near_certain_prediction_has_near_zero_loss():
     structure = GafStructure.fully_connected([1, 2])
     net = MaskedNet(structure, [np.array([[30.0, -30.0]])], [np.zeros(2)])
-    loss, _ = forward_loss(net, np.array([[1.0]]), np.array([0]))
+    loss = _cross_entropy(net.forward(np.array([[1.0]]))[1], np.array([0]))
     assert 0 <= loss < 1e-9
 
 
@@ -52,9 +53,9 @@ def test_batch_loss_is_mean_of_instance_losses():
     net = MaskedNet.initialize(structure, rng)
     x = rng.uniform(size=(2, 3))
     y = np.array([0, 1])
-    la, _ = forward_loss(net, x[:1], y[:1])
-    lb, _ = forward_loss(net, x[1:], y[1:])
-    lab, _ = forward_loss(net, x, y)
+    la = _cross_entropy(net.forward(x[:1])[1], y[:1])
+    lb = _cross_entropy(net.forward(x[1:])[1], y[1:])
+    lab = _cross_entropy(net.forward(x)[1], y)
     assert abs(lab - (la + lb) / 2) < 1e-12
 
 
@@ -71,15 +72,14 @@ def test_output_bias_gradients_sum_to_zero():
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one-net", "stack"])
-def test_forward_loss_and_gradients_refuse_bad_labels(stacked):
+def test_gradients_refuse_bad_labels(stacked):
     net = zero_net([2, 3])
     if stacked:
         net = MaskedNet.stack([net, zero_net([2, 3])])
     x = np.ones((4, 2))
     for y in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 0.5, 1, 2], [0, 1, 2], [[0, 1, 2, 0]] * 3):
-        for kernel in (forward_loss, gradients):
-            with pytest.raises(InputShapeError, match="class indices"):
-                kernel(net, x, np.array(y))
+        with pytest.raises(InputShapeError, match="class indices"):
+            gradients(net, x, np.array(y))
 
 
 def random_net(rng, allow_skip=True):
@@ -114,9 +114,9 @@ def finite_difference_check(net, x, y, h=1e-5):
                     continue
                 orig = net.weights[bi][i, j]
                 net.weights[bi][i, j] = orig + h
-                lp, _ = forward_loss(net, x, y)
+                lp = _cross_entropy(net.forward(x)[1], y)
                 net.weights[bi][i, j] = orig - h
-                lm, _ = forward_loss(net, x, y)
+                lm = _cross_entropy(net.forward(x)[1], y)
                 net.weights[bi][i, j] = orig
                 fd = (lp - lm) / (2 * h)
                 a = grad_w[bi][i, j]
@@ -125,9 +125,9 @@ def finite_difference_check(net, x, y, h=1e-5):
         for j in range(net.biases[li].shape[0]):
             orig = net.biases[li][j]
             net.biases[li][j] = orig + h
-            lp, _ = forward_loss(net, x, y)
+            lp = _cross_entropy(net.forward(x)[1], y)
             net.biases[li][j] = orig - h
-            lm, _ = forward_loss(net, x, y)
+            lm = _cross_entropy(net.forward(x)[1], y)
             net.biases[li][j] = orig
             fd = (lp - lm) / (2 * h)
             a = grad_b[li][j]
@@ -169,16 +169,16 @@ def test_stacked_gradients_match_each_slice_and_finite_differences():
         x = rng.uniform(size=(3, int(rng.integers(1, 8)), sizes[0]))
         y = rng.integers(0, sizes[-1], size=x.shape[:2])
         grad_w, grad_b = gradients(stack, x, y)
-        loss, _ = forward_loss(stack, x, y)
+        loss = _cross_entropy(stack.forward(x)[1], y)
         # a shared input batch broadcasts over the stack
         shared_w, shared_b = gradients(stack, x[0], y[0])
-        shared_loss, _ = forward_loss(stack, x[0], y[0])
+        shared_loss = _cross_entropy(stack.forward(x[0])[1], y[0])
         for k, net in enumerate(nets):
             alone_w, alone_b = gradients(net, x[k], y[k])
-            assert loss[k] == forward_loss(net, x[k], y[k])[0]
+            assert loss[k] == _cross_entropy(net.forward(x[k])[1], y[k])
             assert all(np.array_equal(g[k], a) for g, a in zip(grad_w + grad_b, alone_w + alone_b))
             first_w, first_b = gradients(net, x[0], y[0])
-            assert shared_loss[k] == forward_loss(net, x[0], y[0])[0]
+            assert shared_loss[k] == _cross_entropy(net.forward(x[0])[1], y[0])
             assert all(np.array_equal(g[k], a) for g, a in zip(shared_w + shared_b, first_w + first_b))
 
         # criterion 1's check, on every slice of the stacked net
@@ -189,9 +189,9 @@ def test_stacked_gradients_match_each_slice_and_finite_differences():
             for index in zip(*np.nonzero(mask)):
                 orig = p[index]
                 p[index] = orig + h
-                lp, _ = forward_loss(stack, x, y)
+                lp = _cross_entropy(stack.forward(x)[1], y)
                 p[index] = orig - h
-                lm, _ = forward_loss(stack, x, y)
+                lm = _cross_entropy(stack.forward(x)[1], y)
                 p[index] = orig
                 k = index[0]
                 fd = (lp[k] - lm[k]) / (2 * h)
@@ -397,7 +397,7 @@ def reference_train(structure, x, y, xv, yv, config, seed):
             grad_w, grad_b = gradients(net, x[idx], y[idx])
             step += 1
             adam_step_each(params, grad_w + grad_b, moments, step, config.learning_rate)
-        val_loss, _ = forward_loss(net, xv, yv)
+        val_loss = float(_cross_entropy(net.forward(xv)[1], yv))
         val_losses.append(val_loss)
         val_accuracies.append(float(np.mean(net.predict(xv) == yv)))
         stall = 0 if epoch == 1 or val_loss < best_loss - config.es_tolerance else stall + 1
@@ -612,7 +612,7 @@ def test_best_epoch_parameters_are_restored():
     config = TrainConfig(learning_rate=0.2, max_epochs=60, es_patience=5, es_tolerance=1e-4)
     result = train(structure, x, y, xv, yv, config)
     assert result.epochs_run == len(result.val_loss)
-    restored_loss, _ = forward_loss(result.net, xv, yv)
+    restored_loss = _cross_entropy(result.net.forward(xv)[1], yv)
     assert abs(restored_loss - min(result.val_loss)) < 1e-12
     assert result.best_epoch == 1 + int(np.argmin(result.val_loss))
     assert all(math.isfinite(v) and v >= 0 for v in result.val_loss)

@@ -1,5 +1,8 @@
-"""The numpy logistic and log-odds against scipy.special, and a runtime without scipy."""
+"""The numpy logistic and log-odds against scipy.special, a runtime without scipy,
+and the package namespace."""
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -58,7 +61,8 @@ def test_training_evaluating_and_saving_a_model_import_no_scipy(tmp_path):
 import sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from gaflearn import GafStructure, TrainConfig, evaluate, to_classifier, to_json, train
+from gaflearn import GafStructure, TrainConfig, evaluate, to_classifier, to_json
+from gaflearn.train import train
 x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 3, dtype=np.float64)
 y = (x[:, 0] > 0).astype(np.int64)
 result = train(GafStructure.fully_connected((2, 2, 2)), x, y, x, y, TrainConfig(0.1, max_epochs=5))
@@ -75,3 +79,13 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
     )
     assert done.returncode == 0, done.stderr
     assert out.read_text(encoding="utf-8").startswith("{")
+
+
+def test_each_submodule_is_the_package_attribute_of_its_name():
+    for info in pkgutil.iter_modules(gaflearn.__path__):
+        module = importlib.import_module(f"gaflearn.{info.name}")
+        assert getattr(gaflearn, info.name) is module, info.name
+    import gaflearn.train as t
+
+    assert t is sys.modules["gaflearn.train"]
+    assert callable(t.train_population)
