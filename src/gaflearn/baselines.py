@@ -102,10 +102,12 @@ class DecisionTree:
     n_features: int
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        """Each row's leaf label; rows of strengths in [0, 1], uint8 0/1 as
+        binarize writes them or float, are routed as they are, uncast."""
+        x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise InputShapeError(f"expected (n, {self.n_features}) inputs, got {x.shape}")
-        check_strengths(x)
+        x = check_strengths(x)
         # route row indices node by node
         out = np.empty(x.shape[0], dtype=np.int64)
         parts = [(self.root, np.arange(x.shape[0]))]
@@ -174,18 +176,19 @@ def train_tree(
     """Greedy recursive Gini partitioning of 0/1 indicators; fully deterministic.
 
     y_train holds a class index per row (see :func:`util.class_indices`).
+    The tree is grown on x_train itself when it is uint8, as binarize
+    writes it, and on a uint8 copy of any other 0/1 array.
     """
-    x = np.asarray(x_train, dtype=np.float64)
+    x = np.asarray(x_train)
     if x.ndim != 2:
         raise InputShapeError(f"expected an (n, features) matrix, got shape {x.shape}")
     y = class_indices(y_train, x.shape[0])
     if x.shape[0] == 0:
         raise ConfigError("training split is empty")
-    check_indicators(x)
+    x = check_indicators(x).astype(np.uint8, copy=False)
     if max_depth is not None and max_depth < 0:
         raise ConfigError(f"max_depth must be >= 0, got {max_depth}")
     n_classes = int(y.max()) + 1
-    x = x.astype(np.uint8)  # the one copy the tree is grown on
 
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         classes = y[rows]

@@ -493,7 +493,7 @@ class Indicator:
 @dataclass(frozen=True, eq=False)
 class BinarizedDataset:
     indicators: tuple[Indicator, ...]
-    matrix: np.ndarray  # (n_instances, n_indicators) of 0.0/1.0
+    matrix: np.ndarray  # (n_instances, n_indicators) uint8 of 0/1
     labels: np.ndarray  # (n_instances,) int class indices
     label_names: tuple[str, ...]
 
@@ -546,7 +546,9 @@ def binarize(
     A numeric column is coded with one ``searchsorted`` against its
     thresholds, a categorical column by the level codes it holds. The ones
     of each source column are then set with one index assignment into a
-    preallocated C-ordered float64 (n_instances, n_indicators) matrix.
+    preallocated C-ordered uint8 (n_instances, n_indicators) matrix, the
+    one form every later step reads: one byte per cell, where float64
+    takes eight.
     """
     if bins_per_numeric < 2:
         raise ValueError("bins_per_numeric must be >= 2")
@@ -590,13 +592,13 @@ def binarize(
             indicators.append(Indicator(name=spec.name, source_column=spec.name, kind="binary"))
             ones.append((first, None))
 
-    matrix = np.zeros((n, len(indicators)))
+    matrix = np.zeros((n, len(indicators)), dtype=np.uint8)
     rows = np.arange(n)
     for column, (first, codes) in zip(raw.columns, ones):
         if codes is None:
             matrix[:, first] = column
         else:
-            matrix[rows, first + codes] = 1.0
+            matrix[rows, first + codes] = 1
     return BinarizedDataset(
         indicators=tuple(indicators),
         matrix=matrix,
@@ -605,11 +607,13 @@ def binarize(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitIndices:
-    train: tuple[int, ...]
-    validation: tuple[int, ...]
-    test: tuple[int, ...]
+    """Each part's row indices as a sorted, read-only int64 array."""
+
+    train: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
     seed: int
 
 
@@ -622,11 +626,11 @@ def split_stratified(
 ) -> SplitIndices:
     """Per-class shuffled 70/10/20 partition, deterministic under the seed.
 
-    Index lists come out sorted; shuffling only decides which rows land in
-    which part. Requires >= 10 instances, >= 2 classes, >= 3 instances in
-    every class, and a class of >= 6, as a class of 5 or fewer gives the
-    validation part no row; the error names a small class by
-    ``label_names[c]`` when given, else by its index.
+    Each part comes out as a sorted, read-only int64 array; shuffling only
+    decides which rows land in which part. Requires >= 10 instances, >= 2
+    classes, >= 3 instances in every class, and a class of >= 6, as a class
+    of 5 or fewer gives the validation part no row; the error names a small
+    class by ``label_names[c]`` when given, else by its index.
     """
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != n_instances:
@@ -642,25 +646,18 @@ def split_stratified(
         raise StratificationError(f"classes {named} have fewer than 3 instances")
 
     rng = np.random.default_rng(seed)
-    train: list[int] = []
-    val: list[int] = []
-    test: list[int] = []
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])  # train, validation, test
     for c in classes:
-        idx = np.flatnonzero(y == c)
-        perm = rng.permutation(idx)
-        n_c = idx.size
-        n_train = round(0.7 * n_c)
-        n_val = round(0.1 * n_c)
-        train.extend(perm[:n_train].tolist())
-        val.extend(perm[n_train : n_train + n_val].tolist())
-        test.extend(perm[n_train + n_val :].tolist())
-    if not val:
+        perm = rng.permutation(np.flatnonzero(y == c))
+        n_train = round(0.7 * perm.size)
+        cuts = (n_train, n_train + round(0.1 * perm.size))
+        for part, piece in zip(parts, np.split(perm, cuts)):
+            part.append(piece)
+    train, val, test = (np.sort(np.concatenate(part)) for part in parts)
+    if not val.size:
         raise StratificationError(
             "the validation split would be empty: every class has at most 5 instances"
         )
-    return SplitIndices(
-        train=tuple(sorted(train)),
-        validation=tuple(sorted(val)),
-        test=tuple(sorted(test)),
-        seed=seed,
-    )
+    for part in (train, val, test):
+        part.flags.writeable = False
+    return SplitIndices(train=train, validation=val, test=test, seed=seed)

@@ -209,11 +209,6 @@ def run_seed_for(master_seed: int, run: int) -> int:
     return derive_seed(master_seed, "run", run)
 
 
-def _take(matrix: np.ndarray, labels: np.ndarray, indices: Sequence[int]):
-    idx = np.asarray(indices, dtype=np.int64)
-    return matrix[idx], labels[idx]
-
-
 def _csv_row(record, columns: Sequence[str]) -> str:
     """A record's named fields as one CSV row: floats to 6 decimals, the rest as str."""
     values = (getattr(record, c) for c in columns)
@@ -253,7 +248,8 @@ def _write_resolved_config(config: ExperimentConfig, extra: dict) -> None:
 class _Run:
     """One seeded run, as the run loop hands it to a fit function.
 
-    ``train``, ``validation`` and ``test`` are (features, labels) pairs.
+    ``train``, ``validation`` and ``test`` are (features, labels) pairs, the
+    features rows of the uint8 indicator matrix.
     """
 
     index: int
@@ -320,9 +316,9 @@ def _run_experiment(
             index=r,
             seed=run_seed,
             binarized=binz,
-            train=_take(x, y, split.train),
-            validation=_take(x, y, split.validation),
-            test=_take(x, y, split.test),
+            train=(x[split.train], y[split.train]),
+            validation=(x[split.validation], y[split.validation]),
+            test=(x[split.test], y[split.test]),
         )
         fitted = fit(run)
         metrics = evaluate_metrics(fitted.predictions, run.test[1], n_classes=n_classes)

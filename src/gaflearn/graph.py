@@ -239,7 +239,8 @@ def forward_pass(
     in their sorted order. Hidden strengths are the logistic of their
     pre-activations; the output layer stays pre-activations, which the
     softmax and the loss consume. This is the one forward kernel:
-    evaluation, batched distributions and training all aggregate here.
+    evaluation, batched distributions and training all aggregate here, and
+    it casts x to float64, so a uint8 0/1 batch is copied here and only here.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, biases[0].ndim + 1) or x.shape[-1] != structure.layer_sizes[0]:
@@ -355,14 +356,22 @@ _ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def check_strengths(x: np.ndarray) -> np.ndarray:
-    """x as a float64 array; InputShapeError unless every entry is a finite
-    value in [0, 1]. Every input of a model is checked here.
+    """x as an array; InputShapeError unless every entry is a finite value
+    in [0, 1]. Every input of a model is checked here.
 
-    Read as unsigned integers, the values from +0 to 1 are exactly the bit
+    A bool or unsigned array, such as binarize's uint8 matrix, is cleared
+    by one max reduction and returned uncast: :func:`forward_pass` makes
+    the one float64 copy. Any other x is returned as float64. Read as
+    unsigned integers, the float64 values from +0 to 1 are exactly the bit
     patterns up to 1.0's, so one max reduction clears a valid batch. A
     larger pattern (a sign bit, NaN, an infinity or a value above 1) is
     decided by min and max, which NaN fails and which accept -0.0.
     """
+    x = np.asarray(x)
+    if x.dtype.kind in "bu":
+        if x.size and x.max() > 1:
+            raise InputShapeError("input strengths must be finite values in [0,1]")
+        return x
     x = np.asarray(x, dtype=np.float64)
     if x.size and x.view(np.uint64).max() > _ONE_BITS:
         if not (x.min() >= 0.0 and x.max() <= 1.0):
@@ -370,12 +379,14 @@ def check_strengths(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def check_indicators(x: np.ndarray) -> None:
-    """InputShapeError unless every entry of x is 0 or 1, as trainers take
-    them. NaN and values outside [0, 1] get check_strengths's message."""
-    if not ((x == 0) | (x == 1)).all():
-        check_strengths(x)
+def check_indicators(x: np.ndarray) -> np.ndarray:
+    """x as check_strengths returns it; InputShapeError unless every entry
+    is 0 or 1, as trainers take them. NaN and values outside [0, 1] get
+    check_strengths's message."""
+    x = check_strengths(x)
+    if x.dtype.kind not in "bu" and not ((x == 0) | (x == 1)).all():
         raise InputShapeError("training inputs must be 0/1 indicators")
+    return x
 
 
 def output_distributions(gaf: LayeredGaf, matrix: np.ndarray) -> np.ndarray:

@@ -18,15 +18,16 @@ unit's strength reaches no output, so every term it would add to a product
 or a gradient is an exact zero. The live units of each layer are gathered
 into compact (P, k_src, k_dst) arrays, padded to the stack's widest with
 zero-weight, zero-mask slots. A stack trains from one input array: the
-training matrix as given when every net reads every column, else each
-net's live columns as one (P, n, k) block, in uint8 under minibatches, so
-training inputs must be 0/1 indicators. A compact product adds the same
-nonzero terms in the same order as the full-shape one, so the two agree
-bit for bit wherever BLAS adds a product's terms in index order. OpenBLAS
-0.3.31 does for products at most 15 terms wide (Iris's whole input layer
-is 12 wide), but not in some output columns of wider ones: in a dense
-118-wide input product, hidden columns 8-11 may round differently once
-three or more live inputs are active together.
+training matrix when every net reads every column (as given under
+minibatches, in float64 under full batch), else each net's live columns as
+one (P, n, k) block, in uint8 under minibatches, so training inputs must be
+0/1 indicators. A compact product adds the same nonzero terms in the same
+order as the full-shape one, so the two agree bit for bit wherever BLAS
+adds a product's terms in index order. OpenBLAS 0.3.31 does for products
+at most 15 terms wide (Iris's whole input layer is 12 wide), but not in
+some output columns of wider ones: in a dense 118-wide input product,
+hidden columns 8-11 may round differently once three or more live inputs
+are active together.
 
 A stack's parameters live in one C-ordered (P, n_params) slab, each row one
 net's compact weights and biases in turn; the stack's weight and bias
@@ -176,12 +177,14 @@ def _bind(
     return views[:n_weights], views[n_weights:]
 
 
-def _check_split(layer_sizes: Sequence[int], x: np.ndarray, y) -> np.ndarray:
-    """y as x's class indices (see :func:`util.class_indices`); raise
-    InputShapeError unless x is an (n, inputs) matrix of 0/1 indicators
-    (see :func:`graph.check_indicators`) and y a vector of n classes, both
-    as ``layer_sizes`` has them. x must have rows: the caller refuses an
-    empty split first.
+def _check_split(
+    layer_sizes: Sequence[int], x: np.ndarray, y
+) -> tuple[np.ndarray, np.ndarray]:
+    """x as :func:`graph.check_indicators` returns it, and y as x's class
+    indices (see :func:`util.class_indices`); raise InputShapeError unless x
+    is an (n, inputs) matrix of 0/1 indicators and y a vector of n classes,
+    both as ``layer_sizes`` has them. x must have rows: the caller refuses
+    an empty split first.
 
     Compact kernels read only the live input columns, and the training loop
     indexes rows and labels without checking them, so a mismatch must be
@@ -190,8 +193,7 @@ def _check_split(layer_sizes: Sequence[int], x: np.ndarray, y) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != layer_sizes[0]:
         raise InputShapeError(f"expected (n, {layer_sizes[0]}) inputs, got shape {x.shape}")
     # minibatches read a uint8 copy, which would truncate a fraction silently
-    check_indicators(x)
-    return class_indices(y, x.shape[0], layer_sizes[-1])
+    return check_indicators(x), class_indices(y, x.shape[0], layer_sizes[-1])
 
 
 def _pick(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -332,18 +334,20 @@ def train_population(
     consecutive epochs fail to beat its best by more than es_tolerance.
 
     The stack holds only each net's live support: its live units per layer,
-    padded to the stack's widest with zero-weight, zero-mask slots. It trains
-    from one input array, built here once. When every net reads every column
-    (a fully connected input layer) that is x_train as given, and x_val is
-    read as given too. Otherwise it is each net's live columns as one
-    C-ordered (P, n, k) block, float64 under full batch and uint8 under
-    minibatches, and x_val is gathered the same way in float64; stopped nets
-    leave both with one row selection. A minibatch step takes its rows from
-    either form with one ``np.take`` on the flattened array and casts them
-    to float64. When an individual leaves, its best compact parameters are
-    scattered back into its initialized full-shape net. A dead edge would
-    get an exactly-zero gradient, so it keeps its initial draw, and a dead
-    hidden bias stays 0.
+    padded to the stack's widest with zero-weight, zero-mask slots. x_train
+    is not cast on entry: it may be binarize's uint8 matrix, a bool or a
+    float array. x_val is cast to float64 once. The stack trains from one
+    input array, built here once. When every net reads every column (a fully
+    connected input layer) that is x_train as given under minibatches and a
+    float64 copy of it under full batch. Otherwise it is each net's live
+    columns as one C-ordered (P, n, k) block, float64 under full batch and
+    uint8 under minibatches, and x_val is gathered the same way; stopped
+    nets leave both with one row selection. A minibatch step takes its rows
+    from either form with one ``np.take`` on the flattened array and casts
+    only them to float64. When an individual leaves, its best compact
+    parameters are scattered back into its initialized full-shape net. A
+    dead edge would get an exactly-zero gradient, so it keeps its initial
+    draw, and a dead hidden bias stays 0.
     Its train and validation accuracies, the shares of training and of
     validation rows whose argmax class is the label, are scored then too,
     with its best compact parameters on its slice of the inputs, one net
@@ -360,8 +364,7 @@ def train_population(
     raises :class:`GafError` naming i; it reads the parameters the next
     step would, so a parameter that turns non-finite is caught in its epoch.
     """
-    x_train = np.ascontiguousarray(x_train, dtype=np.float64)
-    x_val = np.asarray(x_val, dtype=np.float64)
+    x_train, x_val = np.asarray(x_train), np.asarray(x_val)
     if x_train.shape[0] == 0:
         raise ConfigError("training split is empty")
     if x_val.shape[0] == 0:
@@ -371,8 +374,9 @@ def train_population(
     if not structures:
         return []
 
-    y_train = _check_split(structures[0].layer_sizes, x_train, y_train)
-    y_val = _check_split(structures[0].layer_sizes, x_val, y_val)
+    x_train, y_train = _check_split(structures[0].layer_sizes, x_train, y_train)
+    x_val, y_val = _check_split(structures[0].layer_sizes, x_val, y_val)
+    x_val = np.asarray(x_val, dtype=np.float64)  # every epoch reads it whole
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     nets = [MaskedNet.initialize(st, rng) for st, rng in zip(structures, rngs)]
@@ -397,18 +401,19 @@ def train_population(
 
     n = x_train.shape[0]
     batch_size = config.batch_size if 0 < config.batch_size < n else n
-    # the training inputs, one array per stack: x_train as given when every
-    # net reads every column (a fully connected input layer), else each net's
-    # live columns as one C-ordered (P, n, k) block, float64 for full batch
-    # and uint8 for minibatches; a -1 padding slot reads the last column
+    # the training inputs, one array per stack: when every net reads every
+    # column (a fully connected input layer), x_train itself, as given under
+    # minibatches and as float64 under full batch; else each net's live
+    # columns as one C-ordered (P, n, k) block, float64 for full batch and
+    # uint8 for minibatches; a -1 padding slot reads the last column
     cols = units[0]
     full = cols.shape[1] == x_train.shape[1] and bool((cols >= 0).all())
     if full:
-        x_live = x_train
+        x_live = x_train if batch_size < n else np.ascontiguousarray(x_train, dtype=np.float64)
     else:
         x_val = x_val[np.arange(len(x_val))[:, None], cols[:, None, :]]
         dtype = np.float64 if batch_size == n else np.uint8
-        x_live = np.ascontiguousarray(x_train.astype(dtype, copy=False).T[cols].transpose(0, 2, 1))
+        x_live = np.ascontiguousarray(x_train.T[cols].transpose(0, 2, 1), dtype=dtype)
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         if batch_size < n:

@@ -253,6 +253,35 @@ def test_tree_predicts_as_the_row_at_a_time_reference(problem, data):
         assert np.array_equal(tree.predict(grid), reference_predict(tree, grid))
 
 
+def test_tree_grows_and_predicts_on_uint8_and_bool_as_on_float64():
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 2, size=(120, 9)).astype(np.uint8)
+    y = (x[:, 0] ^ x[:, 3]) + x[:, 5] * rng.integers(0, 2, size=120)
+    grid = rng.integers(0, 2, size=(60, 9)).astype(np.uint8)
+    for max_depth in (None, 2):
+        want = train_tree(x.astype(np.float64), y, max_depth)
+        assert want.n_leaves() > 2
+        for other in (x, x.astype(bool)):
+            assert tree_nodes(train_tree(other, y, max_depth)) == tree_nodes(want)
+        predicted = want.predict(grid.astype(np.float64))
+        for other in (grid, grid.astype(bool)):
+            assert np.array_equal(want.predict(other), predicted)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([[0, 2]], dtype=np.uint8), np.array([[0, -1]], dtype=np.int8)],
+    ids=["uint8-2", "int8-minus-1"],
+)
+def test_tree_refuses_integer_inputs_outside_0_1(bad):
+    message = r"^input strengths must be finite values in \[0,1\]$"
+    x = np.array([[0, 1], [1, 0], [1, 1]], dtype=bad.dtype)
+    tree = train_tree(x, np.array([0, 1, 1]))
+    with pytest.raises(InputShapeError, match=message):
+        train_tree(np.concatenate([x, bad]), np.array([0, 1, 1, 0]))
+    with pytest.raises(InputShapeError, match=message):
+        tree.predict(bad)
+
+
 def test_tree_training_is_deterministic():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 2, size=(80, 7)).astype(float)

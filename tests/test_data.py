@@ -237,7 +237,7 @@ def test_binarize_matches_indicator_predicates_and_stays_one_hot(table):
             for ind in binz.indicators
         ]
     ).T
-    assert binz.matrix.dtype == np.float64 and binz.matrix.flags["C_CONTIGUOUS"]
+    assert binz.matrix.dtype == np.uint8 and binz.matrix.flags["C_CONTIGUOUS"]
     assert binz.matrix.shape == (raw.n_instances, len(binz.indicators))
     assert np.array_equal(binz.matrix, want)
     for spec in raw.specs:
@@ -668,7 +668,7 @@ def test_split_partitions_every_class_by_rounded_shares(class_sizes, seed, shuff
     parts = (split.train, split.validation, split.test)
     for part in parts:
         assert list(part) == sorted(set(part))
-    assert sorted(split.train + split.validation + split.test) == list(range(len(labels)))
+    assert sorted(np.concatenate(parts).tolist()) == list(range(len(labels)))
     for c, n_c in enumerate(class_sizes):
         counts = [int((labels[list(part)] == c).sum()) for part in parts]
         assert counts == [round(0.7 * n_c), round(0.1 * n_c), n_c - counts[0] - counts[1]]
@@ -690,9 +690,38 @@ def test_split_is_deterministic_and_seed_sensitive():
     a = split_stratified(60, labels, seed=42)
     b = split_stratified(60, labels, seed=42)
     c = split_stratified(60, labels, seed=43)
-    assert a == b
-    assert a.train != c.train
+    for part in ("train", "validation", "test"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert not np.array_equal(a.train, c.train)
     assert a.seed == 42
+
+
+def reference_split(labels, seed):
+    """The former split: per class, the permutation's parts as Python lists."""
+    rng = np.random.default_rng(seed)
+    parts = ([], [], [])
+    for c in np.unique(labels):
+        perm = rng.permutation(np.flatnonzero(labels == c)).tolist()
+        n_train, n_val = round(0.7 * len(perm)), round(0.1 * len(perm))
+        parts[0].extend(perm[:n_train])
+        parts[1].extend(perm[n_train : n_train + n_val])
+        parts[2].extend(perm[n_train + n_val :])
+    return [sorted(part) for part in parts]
+
+
+def test_split_parts_are_read_only_int64_arrays_as_the_list_split_drew_them():
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 3, size=400)
+    for seed in (0, 1, 2**63):
+        split = split_stratified(len(labels), labels, seed=seed)
+        parts = (split.train, split.validation, split.test)
+        for part in parts:
+            assert part.dtype == np.int64 and not part.flags.writeable
+        assert [part.tolist() for part in parts] == reference_split(labels, seed)
+    with pytest.raises(ValueError):
+        split.train[0] = 1
+    again = split_stratified(len(labels), labels, seed=2**63)
+    assert split == split and split != again  # eq=False: arrays do not compare as one bool
 
 
 def test_split_rejects_degenerate_inputs():

@@ -486,3 +486,18 @@ def test_dataclasses_holding_arrays_compare_by_identity_and_hash(make):
     assert a != b and not (a == b)
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+def test_fit_functions_get_uint8_splits(tmp_path):
+    config = load_experiment_config(
+        IRIS_CSV.parent.parent / "configs" / "iris.json", runs=1, out=tmp_path / "out"
+    )
+    seen = []
+
+    def fit(run):
+        for x, _ in (run.train, run.validation, run.test):
+            seen.append((x.dtype, x.flags["C_CONTIGUOUS"]))
+        return experiment._Fitted(run.test[1], 0, "size=0")
+
+    experiment._run_experiment(config, fit, None, {})
+    assert seen == [(np.uint8, True)] * 3

@@ -25,7 +25,7 @@ from gaflearn import (
     output_distributions,
     prune_inert_edges,
 )
-from gaflearn.graph import live_units
+from gaflearn.graph import check_indicators, check_strengths, live_units
 from gaflearn.model_io import from_json
 from gaflearn.util import softmax_rows
 
@@ -364,6 +364,55 @@ def test_batched_prediction_refuses_strengths_outside_0_1(value):
             predict(x)
     with pytest.raises(InputShapeError, match=message):
         evaluate(gaf, x[2])
+
+
+def test_uint8_and_bool_inputs_give_the_float64_results_bit_for_bit():
+    rng = np.random.default_rng(8)
+    graphs = [
+        random_gaf(rng, sizes=(6, 4, 3), keep=0.7),
+        random_gaf(rng, sizes=(6, 4, 3, 3), skip=True, keep=0.7),
+    ]
+    x = (rng.uniform(size=(25, 6)) < 0.4).astype(np.uint8)
+    for gaf in graphs:
+        net = MaskedNet.from_gaf(gaf)
+        want = output_distributions(gaf, x.astype(np.float64))
+        predicted = net.predict(x.astype(np.float64))
+        assert not np.allclose(want, want[0])  # the rows move the distribution
+        for other in (x, x.astype(bool)):
+            assert output_distributions(gaf, other).tobytes() == want.tobytes()
+            assert np.array_equal(net.predict(other), predicted)
+        for row in x[:5]:
+            a, b = evaluate(gaf, row), evaluate(gaf, row.astype(np.float64))
+            assert a.output_distribution.tobytes() == b.output_distribution.tobytes()
+            assert a.strengths == b.strengths
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([[0, 2]], dtype=np.uint8), np.array([[0, -1]], dtype=np.int8)],
+    ids=["uint8-2", "int8-minus-1"],
+)
+def test_integer_inputs_outside_0_1_are_refused_with_the_strengths_message(bad):
+    gaf = random_gaf(np.random.default_rng(0), sizes=(2, 2))
+    message = r"^input strengths must be finite values in \[0,1\]$"
+    for predict in (
+        lambda m: output_distributions(gaf, m),
+        MaskedNet.from_gaf(gaf).predict,
+        lambda m: evaluate(gaf, m[0]),
+        check_indicators,
+    ):
+        with pytest.raises(InputShapeError, match=message):
+            predict(bad)
+
+
+def test_bool_and_unsigned_inputs_pass_the_checks_uncast():
+    for x in (
+        np.array([[0, 1], [1, 1]], dtype=np.uint8),
+        np.array([[True, False]]),
+        np.zeros((0, 3), dtype=np.uint16),
+    ):
+        assert check_strengths(x) is x
+        assert check_indicators(x) is x
+    assert check_strengths(np.array([[0, 1]])).dtype == np.float64  # signed: cast
 
 
 def test_prune_inert_edges_keeps_distributions_bitwise():

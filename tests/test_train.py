@@ -562,6 +562,48 @@ def test_train_population_equals_training_each_structure_alone_on_adult_like_sta
     assert_stack_trains_each_structure_alone([full], x, y, xv, yv, config, [seeds[0]])
 
 
+def assert_same_training(got, want):
+    """Two lists of TrainResults agree bit for bit."""
+    for a, b in zip(got, want, strict=True):
+        for p, q in zip(a.net.weights + a.net.biases, b.net.weights + b.net.biases):
+            assert p.tobytes() == q.tobytes()
+        assert a.val_loss == b.val_loss and a.best_epoch == b.best_epoch
+        assert (a.train_accuracy, a.val_accuracy) == (b.train_accuracy, b.val_accuracy)
+
+
+@pytest.mark.parametrize("batch_size", [0, 16])
+@pytest.mark.parametrize("stack", ["fully-connected", "sparse"])
+def test_uint8_and_bool_inputs_train_as_their_float64_copy(stack, batch_size):
+    rng = np.random.default_rng(batch_size + 41)
+    x, y = adult_like_task(seed=31, n=160)
+    xv, yv = adult_like_task(seed=32, n=60)
+    if stack == "fully-connected":  # as the logistic baseline's: x_train is read as given
+        structures = [GafStructure.fully_connected((ADULT_SIZES[0], ADULT_SIZES[-1]))] * 2
+    else:
+        structures = [sparse_adult_structure(rng, 8, 6, skip_edges=2) for _ in range(4)]
+    seeds = [int(s) for s in rng.integers(1 << 40, size=len(structures))]
+    config = TrainConfig(learning_rate=0.1, max_epochs=10, es_patience=3,
+                         es_tolerance=1e-3, batch_size=batch_size)
+    want = train_population(structures, x, y, xv, yv, config, seeds)
+    for dtype in (np.uint8, bool):
+        got = train_population(structures, x.astype(dtype), y, xv.astype(dtype), yv, config, seeds)
+        assert_same_training(got, want)
+
+
+@pytest.mark.parametrize("split", ["x_train", "x_val"])
+@pytest.mark.parametrize(
+    "dtype, value", [(np.uint8, 2), (np.int8, -1)], ids=["uint8-2", "int8-minus-1"]
+)
+def test_training_refuses_integer_inputs_outside_0_1(split, dtype, value):
+    x, y = noisy_task(n=20)
+    data = {"x_train": x.astype(dtype), "x_val": x[:8].astype(dtype)}
+    data[split][3, 1] = value
+    config = TrainConfig(learning_rate=0.1, max_epochs=3, batch_size=8)
+    structure = GafStructure.fully_connected([4, 2])
+    with pytest.raises(InputShapeError, match=r"input strengths must be finite values in \[0,1\]"):
+        train(structure, data["x_train"], y, data["x_val"], y[:8], config)
+
+
 def test_train_population_rejects_mixed_layouts():
     x, y = separable_toy()
     config = TrainConfig(learning_rate=0.1, max_epochs=2)
